@@ -1,21 +1,20 @@
-"""Simulator speed: interpreter vs decoded closures vs compiled codegen.
+"""Simulator speed: interpreter vs compiled codegen.
 
 Runs the two Section 11 cipher benchmarks (AES at 16-byte payloads,
-Kasumi at 8-byte payloads) on the allocated code under all three
-execution tiers and records instructions/sec and simulated cycles/sec to
+Kasumi at 8-byte payloads) on the allocated code under both simulator
+tiers and records instructions/sec and simulated cycles/sec to
 ``BENCH_sim.json`` at the repo root.  ``benchmarks/perf_smoke.py`` reads
 that file in CI and fails on pathological regressions.
 
-Methodology: ten short warmup runs per tier (populates the decode and
-codegen caches *and* lets CPython 3.11 specialize the generated code —
-code objects quicken only after ~8 calls, and the compiled tier's
-whole-run loop is called once per run), then interleaved timed runs of
-40 packets per thread on 4 threads, best of ``TIMED_REPS`` per tier.
-Timing uses ``time.process_time`` so CPU steal on shared hosts cannot
-distort the ratios.  Instructions executed are identical across tiers
-(the decode and codegen stages are observationally invisible — see
-``tests/test_decode_parity.py``), so instructions/sec ratios are
-CPU-time ratios.
+Methodology: ten short warmup runs per tier (populates the codegen
+cache *and* lets CPython 3.11 specialize the generated code — code
+objects quicken only after ~8 calls, and the compiled tier's whole-run
+loop is called once per run), then interleaved timed runs of 40 packets
+per thread on 4 threads, best of ``TIMED_REPS`` per tier.  Timing uses
+``time.process_time`` so CPU steal on shared hosts cannot distort the
+ratio.  Instructions executed are identical across tiers (codegen is
+observationally invisible — see ``tests/test_decode_parity.py``), so the
+instructions/sec ratio is a CPU-time ratio.
 """
 
 import json
@@ -33,20 +32,17 @@ BENCH_FILE = ROOT / "BENCH_sim.json"
 #: (app name, payload bytes, cipher block bytes)
 BENCHES = [("AES", 16, 16), ("Kasumi", 8, 8)]
 
-MODES = ("interp", "decoded", "compiled")
+MODES = ("interp", "compiled")
 
 WARMUP_RUNS = 10
 TIMED_REPS = 5
 
-#: conservative floor for the decoded-tier speedup asserted here (the
-#: recorded numbers land well above; the floor only guards against the
-#: decode path silently falling back to the interpreter)
-MIN_SPEEDUP = 3.0
-
-#: same idea one tier up: the codegen tier must beat the decoded tier
-#: by a clear margin or it has silently fallen back / regressed (the
-#: recorded ratio sits above 3x; the floor absorbs runner noise)
-MIN_COMPILED_SPEEDUP = 2.5
+#: conservative floor for the compiled tier's speedup over the
+#: interpreter: the product of the floors once set for the two steps of
+#: the three-tier simulator (3.0 interp→decoded, 2.5 decoded→compiled).
+#: Recorded ratios sit at 20x and above; the floor only guards against
+#: the generated code silently regressing toward interpretation.
+MIN_SPEEDUP = 7.5
 
 
 def _payload_words(payload_bytes: int) -> list[int]:
@@ -107,13 +103,8 @@ def write_bench_file(results: dict) -> None:
             baseline = json.loads(BENCH_FILE.read_text()).get("baseline")
         except (OSError, ValueError):
             baseline = None
-    if baseline is not None and any(
-        "ips_compiled" not in row for row in baseline.values()
-    ):
-        baseline = None  # re-freeze once: the old block predates the tier
     data["baseline"] = baseline or {
         key: {
-            "ips_decoded": row["ips_decoded"],
             "ips_interp": row["ips_interp"],
             "ips_compiled": row["ips_compiled"],
         }
@@ -129,49 +120,31 @@ def test_sim_speed_table(compiled_apps):
         key = f"{name}-{payload_bytes}"
         best = _measure(compiled_apps, name, payload_bytes, block)
         ips_int, cps_int = best["interp"]
-        ips_dec, cps_dec = best["decoded"]
         ips_com, cps_com = best["compiled"]
-        speedup = ips_dec / ips_int
-        speedup_compiled = ips_com / ips_dec
+        speedup = ips_com / ips_int
         results[key] = {
             "ips_interp": round(ips_int),
-            "ips_decoded": round(ips_dec),
             "ips_compiled": round(ips_com),
             "cps_interp": round(cps_int),
-            "cps_decoded": round(cps_dec),
             "cps_compiled": round(cps_com),
             "speedup": round(speedup, 2),
-            "speedup_compiled": round(speedup_compiled, 2),
         }
         rows.append(
             [
                 key,
                 f"{ips_int / 1e6:.2f}M",
-                f"{ips_dec / 1e6:.2f}M",
                 f"{ips_com / 1e6:.2f}M",
                 f"{speedup:.1f}x",
-                f"{speedup_compiled:.1f}x",
             ]
         )
     print_table(
-        "Simulator speed: interp vs decoded vs compiled (4 threads)",
-        [
-            "bench",
-            "ips interp",
-            "ips decoded",
-            "ips compiled",
-            "dec/int",
-            "com/dec",
-        ],
+        "Simulator speed: interp vs compiled (4 threads)",
+        ["bench", "ips interp", "ips compiled", "com/int"],
         rows,
     )
     write_bench_file(results)
     for key, row in results.items():
         assert row["speedup"] >= MIN_SPEEDUP, (
-            f"{key}: decoded tier only {row['speedup']}x over the "
+            f"{key}: compiled tier only {row['speedup']}x over the "
             f"interpreter (floor {MIN_SPEEDUP}x)"
-        )
-        assert row["speedup_compiled"] >= MIN_COMPILED_SPEEDUP, (
-            f"{key}: compiled tier only {row['speedup_compiled']}x over "
-            f"the decoded tier (floor {MIN_COMPILED_SPEEDUP}x)"
         )

@@ -44,8 +44,7 @@ def run_physical_threads(
     packets_per_thread: int = 4,
     thread_stride: int = 0x400,
     input_overrides: dict | None = None,
-    decode: bool = True,
-    sim_mode: str | None = None,
+    sim_mode: str = "compiled",
 ) -> ThroughputResult:
     """Run the allocated application over a synthetic packet stream.
 
@@ -53,11 +52,8 @@ def run_physical_threads(
     preloaded with the payload; it processes ``packets_per_thread``
     packets (one per halt iteration).  ``input_overrides`` replaces
     source-level inputs (e.g. ``nblocks``) without mutating ``app``.
-    ``decode=False`` forces the reference interpreter instead of the
-    pre-decoded execution path (used by the benchmark suite to measure
-    the decode speedup); ``sim_mode`` names any of the three speed
-    tiers explicitly (``"interp"``/``"decoded"``/``"compiled"``) and
-    wins over ``decode`` when given.
+    ``sim_mode="interp"`` runs the reference interpreter instead of the
+    generated code (the benchmark suite measures the speedup).
     """
     assert comp.alloc is not None, "needs an allocated compilation"
     memory = MemorySystem.create()
@@ -103,7 +99,6 @@ def run_physical_threads(
         physical=True,
         input_provider=provider,
         max_cycles=200_000_000,
-        decode=decode,
         mode=sim_mode,
     )
     run = machine.run()

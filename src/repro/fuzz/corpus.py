@@ -106,7 +106,8 @@ class CorpusEntry:
     #: the flow-token pool mutations may draw from (``retoken``).
     flows: tuple[int, ...]
     trace: tuple[TraceEvent, ...]
-    #: :func:`~repro.ixp.net.config_to_dict` topology (no trace).
+    #: :func:`~repro.ixp.net.config_to_dict` topology (no trace, no
+    #: simulator tier).
     topology: dict
     #: :func:`~repro.ixp.net.coverage_signature` of the recorded run.
     signature: tuple[str, ...]

@@ -1,12 +1,16 @@
-"""Deliberate miscompile injection — sanity checks for the oracle.
+"""Deliberate bug injection — sanity checks for the oracles.
 
 A differential fuzzer that has never caught a bug proves nothing; these
-context managers break the compiler in controlled, realistic ways so the
-test suite can demonstrate the oracle *fails* and the shrinker produces
-a small reproducer.  Each patch is config-dependent on purpose: the bug
-must manifest under some configurations of the matrix but not the
-reference point, which is exactly the class of miscompile the oracle is
-built to catch.
+context managers break the compiler (:func:`broken_constant_fold`), the
+compiled simulator tier (:func:`broken_codegen`) or the streaming
+runtime's dispatch stage (:func:`broken_steering`) in controlled,
+realistic ways so the test suite can demonstrate the oracle *fails* and
+the shrinker produces a small reproducer.  Each patch is
+config-dependent on purpose: the bug must manifest under some
+configurations of the matrix but not the reference point, which is
+exactly the class of bug the oracle is built to catch.  For simulator
+bugs the reference point is the interpreter, which shares no evaluation
+code with the generated tier.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ def broken_codegen(op: str = "xor", delta: int = 1):
     """Make the compiled simulator tier mis-evaluate one ALU op.
 
     The codegen template for ``op`` comes out ``delta`` too large, so
-    any program executing that op on runtime values diverges between
-    the ``sim-compiled`` configuration and the reference (which runs
-    the decoded tier).  Constant folding is untouched (it goes through
-    ``machine._ALU_FNS``), so the bug only manifests in *generated*
-    code — exactly a miscompiled simulator, not a miscompiled program.
+    any program executing that op on runtime values diverges from the
+    interpreter: the ``sim-compiled`` configuration from the reference,
+    and a net-fuzz stream (engines on the compiled tier) from its
+    expected halt values (computed on the interpreter).  Constant
+    folding is untouched (it goes through ``machine._ALU_FNS``), so the
+    bug only manifests in *generated* code — exactly a miscompiled
+    simulator, not a miscompiled program.
 
     The compiled-graph cache is cleared on entry and exit: cached
     functions were generated from the unpatched template (and vice

@@ -164,7 +164,11 @@ def gen_scenario(seed: int, config: NetGenConfig | None = None) -> NetScenario:
 
 
 def _reference_results(comp, program: GenProgram, vector: dict) -> tuple:
-    """Single-thread reference run: one packet's expected halt values."""
+    """Single-thread reference run: one packet's expected halt values.
+
+    It runs on the interpreter, so a stream on the (default) compiled
+    tier is checked against the oracle rather than against itself.
+    """
     raw = comp.make_inputs(**vector)
     memory = MemorySystem.create()
     for space, chunks in (program.memory_image or {}).items():
@@ -177,6 +181,7 @@ def _reference_results(comp, program: GenProgram, vector: dict) -> tuple:
         physical=False,
         input_provider=lambda tid, it: dict(raw) if it == 0 else None,
         max_cycles=REFERENCE_MAX_CYCLES,
+        mode="interp",
     )
     try:
         run = machine.run()

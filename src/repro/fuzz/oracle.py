@@ -80,10 +80,11 @@ class FuzzConfig:
     options: CompileOptions
     #: run the allocated (physical-register) flowgraph
     physical: bool = False
-    #: simulator speed tier the vectors execute under; the compiled
-    #: tier rides the same matrix so nightly campaigns cross-check the
-    #: codegen stage against the decoded oracle automatically.
-    sim_mode: str = "decoded"
+    #: simulator tier the vectors execute under.  The matrix runs on the
+    #: interpreter; only ``sim-compiled`` runs generated code, so the
+    #: tier under test is always checked against the interpreter and
+    #: never against itself.
+    sim_mode: str = "interp"
 
 
 def _virtual_options(**overrides) -> CompileOptions:

@@ -1,56 +1,51 @@
 """Compiled simulator tier: FlowGraph → generated Python source.
 
-The decoded tier (:func:`repro.ixp.machine.decoded_graph`) pays one
-closure call per dynamic instruction.  This module removes that last
-layer of interpretation: each flowgraph is compiled **once** into a
-single generated Python function (``exec``-compiled source) in which
+The interpreter (``Machine(mode="interp")``) re-derives operand kinds,
+bank legality and ALU dispatch for every dynamic instruction.  This
+module does that work once: each flowgraph is compiled **once** into
+generated Python source (``exec``-compiled) in which
 
 - every instruction is inlined straight-line code — no per-instruction
-  closure call, no ``(cost, blocked)`` tuple packing, no
-  ``thread.step`` pointer chasing;
+  call, no ``(cost, blocked)`` tuple packing;
 - operand register keys, pre-masked immediates, folded constants and
   error messages are interned into the generated module's namespace at
-  codegen time (the same static work the decode stage does, done once
-  per *graph* instead of once per *closure*);
+  codegen time, and every static legality check (ALU operand/dst bank
+  rules, the transfer-bank move restriction, aggregate adjacency, hash
+  SameReg) runs here rather than per execution;
 - basic blocks are emitted as straight-line segments; control transfers
   are computed jumps — an integer ``pc`` dispatched through a generated
   binary comparison tree at the top of one ``while`` loop;
-- the register file stays the same plain dict the decoded tier uses
-  (``thread.rv``), hoisted into a local, so definedness faults keep the
-  interpreter's exact ``KeyError`` → ``SimulatorError`` semantics and
-  slices of any length pay no save/restore cost.
+- the register file is the interpreter's plain dict (``thread.rv``),
+  hoisted into a local, so definedness faults keep the interpreter's
+  exact ``KeyError`` → ``SimulatorError`` semantics and slices of any
+  length pay no save/restore cost.
 
-The generated function has the same contract as
-``Machine._run_thread_decoded``: ``run(thread, clock) -> clock`` runs
-one thread until it blocks, yields, or halts, with *identical*
-observables — cycle counts, ``mem_stall_cycles`` accounting,
-ring/scratch port charging, per-opcode trace histograms, raised error
-type/message and the order errors are raised in.  The decoded tier is
-the parity oracle (``tests/test_decode_parity.py`` pins three-way
-equivalence interp = decoded = compiled).
+The generated slice function has the same contract as
+``Machine._run_thread``: ``run(thread, clock) -> clock`` runs one thread
+until it blocks, yields, or halts, with *identical* observables — cycle
+counts, ``mem_stall_cycles`` accounting, ring/scratch port charging,
+per-opcode trace histograms, raised error type/message and the order
+errors are raised in.  The interpreter is the parity oracle
+(``tests/test_decode_parity.py`` pins interp = compiled).
 
-Resumption works like the decoded tier's ``thread.step``, but with an
-integer: ``thread.cpc`` names the label (a resume point) execution
-continues from on the next slice.  Labels exist at block entries, at
-ring/lock instructions (spin-retry re-executes them) and immediately
-after blocking instructions (memory references, ring ops, ``ctx_arb``).
+Resumption is an integer: ``thread.cpc`` names the label (a resume
+point) execution continues from on the next slice.  Labels exist at
+block entries, at ring/lock instructions (spin-retry re-executes them)
+and immediately after blocking instructions (memory references, ring
+ops, ``ctx_arb``).
 
-Statically-illegal instructions compile to *raiser* segments that
-replay the dynamic register reads the interpreter performs before
-faulting and then raise the identical exception — codegen itself never
-raises for an unreachable illegal instruction.
+Statically-illegal instructions — including an instruction kind the
+generator does not know — compile to *raiser* segments that replay the
+dynamic register reads the interpreter performs before faulting and
+then raise the identical exception.  Codegen itself never raises for an
+unreachable illegal instruction, exactly like the interpreter.
 
-Caching mirrors the decode cache: compiled functions are memoized per
-``(id(graph), physical, instrumented)`` with ``weakref.finalize``
-eviction, so every Machine sharing a flowgraph shares one generated
-function and ``id()`` reuse cannot alias.  ``instrumented`` selects a
-variant with per-opcode histogram recording compiled in (used only
-under tracing; the plain variant carries zero tracing overhead).
-
-Fallback: an instruction kind this generator does not cover makes
-:func:`compiled_graph` return ``None`` (memoized), and the Machine
-falls back to the decoded tier for the whole graph — never a partial
-compile, never an error.
+Compiled graphs are memoized per ``(id(graph), physical,
+instrumented)`` with ``weakref.finalize`` eviction, so every Machine
+sharing a flowgraph shares one generated function and ``id()`` reuse
+cannot alias.  ``instrumented`` selects a variant with per-opcode
+histogram recording compiled in (used only under tracing; the plain
+variant carries zero tracing overhead).
 """
 
 from __future__ import annotations
@@ -80,11 +75,10 @@ from repro.ixp.banks import Bank
 from repro.trace import ensure
 
 #: Runtime evaluation templates per ALU op, mirrored bit for bit from
-#: ``machine._ALU_FNS`` (the decoded tier's bound functions).  Module
-#: level so the fuzz injection probe (``inject.broken_codegen``) can
-#: swap one entry and prove the differential oracle catches a
-#: miscompiled ALU op.  Constant folding goes through ``_ALU_FNS``
-#: itself, exactly like the decode stage.
+#: ``machine._ALU_FNS``.  Module level so the fuzz injection probe
+#: (``inject.broken_codegen``) can swap one entry and prove the
+#: differential oracle catches a miscompiled ALU op.  Constant folding
+#: goes through ``_ALU_FNS`` itself.
 _ALU_EXPRS = {
     "add": "(({a}) + ({b})) & 4294967295",
     "sub": "(({a}) - ({b})) & 4294967295",
@@ -106,15 +100,13 @@ _CMP_EXPRS = {
     "ge": ">=",
 }
 
-#: the bitwise ops whose *immediates* are masked at codegen time (the
-#: other ops' formulas mask their results) — same rule as decode.
+#: the bitwise ops whose *immediates* are masked at codegen time
+#: (masking distributes over &, |, ^ against a masked register value;
+#: the other ops' formulas mask their results, so their immediates stay
+#: raw — exactly what the interpreter computes).
 _BITWISE = ("and", "or", "xor")
 
 _MAX_RAISE = 'raise SimulatorError(f"simulation exceeded {max_cycles} cycles")'
-
-
-class UnsupportedOp(Exception):
-    """An instruction kind the generator does not cover (→ fallback)."""
 
 
 class _CompiledGraph:
@@ -128,17 +120,18 @@ class _CompiledGraph:
     clock) -> clock`` is ``Machine.run``'s whole scheduler loop with the
     dispatch tree inlined (same segments, no per-slice call).  Machines
     sharing a flowgraph share this object (and its generated code
-    object); each ``bind`` call is just two closure allocations."""
+    objects); each ``bind`` call is just two closure allocations.  The
+    generated source itself is not kept, only its line count."""
 
-    __slots__ = ("bind", "instructions", "labels", "source", "physical",
-                 "instrumented")
+    __slots__ = ("bind", "instructions", "labels", "source_lines",
+                 "physical", "instrumented")
 
-    def __init__(self, bind, instructions, labels, source, physical,
+    def __init__(self, bind, instructions, labels, source_lines, physical,
                  instrumented):
         self.bind = bind  # bind(machine) -> (run_slice, run_loop)
         self.instructions = instructions
         self.labels = labels
-        self.source = source
+        self.source_lines = source_lines
         self.physical = physical
         self.instrumented = instrumented
 
@@ -181,7 +174,7 @@ class _Codegen:
         #: memory spaces / rings referenced by name → bind-time cell
         #: variable.  Cells hold the resolved object, or ``None`` when
         #: the name is unknown at bind time — the use site then falls
-        #: back to the runtime lookup, preserving the decoded tier's
+        #: back to the runtime lookup, preserving the interpreter's
         #: "unknown memory space/ring" error at execution (not bind).
         self.space_cells: dict[str, str] = {}
         self.ring_cells: dict[str, str] = {}
@@ -221,7 +214,7 @@ class _Codegen:
     def sync(self) -> None:
         """Flush ``icount`` *on the main path* before a call that can
         raise from outside generated code (memory spaces, rings, the
-        input provider): the decoded loop counts an instruction before
+        input provider): the interpreter counts an instruction before
         executing it, so an escaping exception must see it counted."""
         if self.pending:
             self.w(f"icount += {self.pending}")
@@ -234,7 +227,7 @@ class _Codegen:
     def hist(self, instr: isa.Instr, cost) -> None:
         """Per-opcode histogram recording (instrumented variant only).
 
-        Mirrors the decoded loop: recorded *after* the instruction body
+        Mirrors the interpreter: recorded *after* the instruction body
         (a faulting body records nothing) and entries are created
         lazily, so never-executed opcodes stay absent."""
         if not self.instrumented:
@@ -268,8 +261,8 @@ class _Codegen:
 
     def clock_sync(self) -> None:
         """Flush the owed cycles on the main path, before emission that
-        reads ``clock`` or can raise (decoded checks the budget after
-        every instruction, so a fallible body must see it checked)."""
+        reads ``clock`` or can raise (the interpreter checks the budget
+        after every instruction, so a fallible body must see it checked)."""
         self.clock_flush()
         self.cycles_pending = 0
 
@@ -314,15 +307,19 @@ class _Codegen:
 
     # -- per-instruction generators ------------------------------------------
     #
-    # Each mirrors its ``machine._decode_*`` twin: the same static
-    # checks in the same order, the same pre-computation, and emitted
-    # runtime code whose observable behaviour is identical to the
-    # decoded step closure executed under ``_run_thread_decoded``.
+    # Each runs the interpreter's static checks (``Machine._execute``)
+    # in the same order and emits runtime code whose observable
+    # behaviour is identical to the interpreter executing the
+    # instruction under ``Machine._run_thread``.
 
     def gen_raiser(self, exc: BaseException, prior) -> None:
         """Statically-illegal instruction: replay the definedness checks
         of the dynamic reads the interpreter performs first, then raise
-        the decode-time exception with identical type and args."""
+        the codegen-time exception with identical type and args.
+
+        ``prior`` lists (register key, undefined-register message) for
+        those reads; they have no side effects, so replaying only their
+        definedness checks is exact."""
         self.instr_start()
         self.clock_sync()
         for key, msg in prior:
@@ -341,7 +338,8 @@ class _Codegen:
 
         ``handlers`` is a list of (keyname, msgname); one entry raises
         its message directly, two entries disambiguate the way the
-        decoded closures do (first key checked against ``rv``)."""
+        interpreter's read order does (first key checked against
+        ``rv``)."""
         self.clock_sync()  # budget error beats the undefined-reg error
         self.w("try:")
         self.w(f"    {target} = {expr}")
@@ -668,8 +666,8 @@ class _Codegen:
 
     def _gen_interp_mem(self, instr: isa.MemOp, next_label: int) -> None:
         """Memory ops whose operands fail to intern: delegate to the
-        interpreter for exact midway-fault behaviour (side effects run
-        before the register-key error), like the decoded tier does."""
+        interpreter for exact midway-fault behaviour (``space.issue``
+        runs before the register-key error)."""
         self.instr_start()
         self.sync()
         self.clock_sync()
@@ -869,8 +867,9 @@ class _Codegen:
             return self.gen_raiser(exc, prior)
         self.instr_start()
         op = _CMP_EXPRS[instr.cmp]
-        # Comparison operands stay raw, like the decoded tier.  Mirror
-        # literals fold like immediates (they ARE the register value).
+        # Comparison operands stay raw (the interpreter compares the raw
+        # immediate against the masked register value).  Mirror literals
+        # fold like immediates (they ARE the register value).
         afold = self.literal_of(a)
         bfold = self.literal_of(b)
         if (a[0] == "imm" or afold is not None) and (
@@ -1001,7 +1000,9 @@ class _Codegen:
         elif isinstance(instr, isa.HaltInstr):
             self.gen_halt(instr)
         else:
-            raise UnsupportedOp(f"no codegen for {type(instr).__name__}")
+            self.gen_raiser(
+                SimulatorError(f"unhandled instruction {instr!r}"), ()
+            )
 
     def assign_labels(self) -> list[str]:
         """Number every resume point; the entry block's head is 0."""
@@ -1113,25 +1114,24 @@ class _Codegen:
         # (one bind per Machine); the per-slice prologue loads only the
         # per-thread state.  Every frozen attribute is assigned exactly
         # once in Machine.__init__ and mutated in place afterwards.
-        lines = ["def _bind(machine):"]
-        lines.append("    max_cycles = machine.max_cycles")
+        prologue = ["    max_cycles = machine.max_cycles"]
         if uses & {"MemOp", "RingOp"}:
-            lines.append("    memory = machine.memory")
+            prologue.append("    memory = machine.memory")
         if "LockInstr" in uses:
-            lines.append("    locks = machine.locks")
+            prologue.append("    locks = machine.locks")
         if uses & {"CsrRd", "CsrWr"}:
-            lines.append("    csrs = machine.csrs")
+            prologue.append("    csrs = machine.csrs")
         if "HaltInstr" in uses:
-            lines.append("    results = machine.results")
+            prologue.append("    results = machine.results")
         if self.instrumented:
-            lines.append("    hist = machine._opcode_hist")
+            prologue.append("    hist = machine._opcode_hist")
         for name, var in self.space_cells.items():
-            lines.append(f"    {var} = memory.spaces.get({name!r})")
-            lines.append(
+            prologue.append(f"    {var} = memory.spaces.get({name!r})")
+            prologue.append(
                 f"    if {var} is not None and {var}._occupancy is not None"
                 f" and {var}._latency is not None:"
             )
-            lines.append(
+            prologue.append(
                 f"        {var}_oc = {var}._occupancy;"
                 f" {var}_lt = {var}._latency;"
                 f" {var}_pw = {var}._per_word;"
@@ -1139,14 +1139,15 @@ class _Codegen:
                 f" {var}_sd = {var}._is_sdram;"
                 f" {var}_wg = {var}.words.get"
             )
-            lines.append("    else:")
-            lines.append(
+            prologue.append("    else:")
+            prologue.append(
                 f"        {var} = None;"
                 f" {var}_oc = {var}_lt = {var}_pw = {var}_sz = 0;"
                 f" {var}_sd = False; {var}_wg = None"
             )
         for name, var in self.ring_cells.items():
-            lines.append(f"    {var} = memory.rings.get({name!r})")
+            prologue.append(f"    {var} = memory.rings.get({name!r})")
+        lines = ["def _bind_slice(machine):", *prologue]
         lines.append("    def _run_slice(thread, clock):")
         lines.append("        rv = thread.rv")
         lines.append("        stats = thread.stats")
@@ -1157,6 +1158,8 @@ class _Codegen:
         self.emit_dispatch(lines, 0, len(self._segments), 4)
         lines.append("        finally:")
         lines.append("            stats.instructions += icount")
+        lines.append("    return _run_slice")
+        slice_lines = lines
         # The master-loop variant: ``Machine.run``'s scheduler with the
         # dispatch tree inlined, so a whole single-engine run is one
         # generated call — no per-slice Python function call, which is a
@@ -1167,6 +1170,7 @@ class _Codegen:
         # order, budget checks and stall accounting stay identical.
         # ``service()``-driven external schedulers (repro.ixp.net) keep
         # using ``_run_slice``.
+        lines = ["def _bind_loop(machine):", *prologue]
         lines.append("    def _run_loop(ready, clock):")
         lines.append("        while ready:")
         lines.append("            ready_at, tid, thread = heappop(ready)")
@@ -1189,26 +1193,38 @@ class _Codegen:
             " (thread.ready_at, tid, thread))"
         )
         lines.append("        return clock")
-        lines.append("    return _run_slice, _run_loop")
-        source = "\n".join(lines) + "\n"
-        code = compile(source, f"<codegen:{graph.entry}>", "exec")
+        lines.append("    return _run_loop")
+        # One compile() per factory: the two share no code, and the
+        # compiler's peak memory grows with the size of one call's
+        # source.
         namespace = dict(self.globals)
-        exec(code, namespace)
+        source_lines = 0
+        for part in (slice_lines, lines):
+            source = "\n".join(part) + "\n"
+            exec(compile(source, f"<codegen:{graph.entry}>", "exec"), namespace)
+            source_lines += len(part)
+        bind_slice = namespace["_bind_slice"]
+        bind_loop = namespace["_bind_loop"]
+
+        def bind(machine):
+            return bind_slice(machine), bind_loop(machine)
+
         return _CompiledGraph(
-            namespace["_bind"],
+            bind,
             self.count,
             len(self._segments),
-            source,
+            source_lines,
             self.physical,
             self.instrumented,
         )
 
 
-#: (id(graph), physical, instrumented) → compiled program (or None when
-#: the generator declined and the Machine must fall back to the decoded
-#: tier).  Entries evict when the graph is garbage collected, so id()
-#: reuse cannot alias — same scheme as ``machine._DECODED``.
-_COMPILED: dict[tuple[int, bool, bool], _CompiledGraph | None] = {}
+#: (id(graph), physical, instrumented) → compiled program.  Entries evict
+#: when the graph is garbage collected (weakref.finalize), so id() reuse
+#: cannot alias.  Kept off the FlowGraph itself: generated functions
+#: don't pickle, and compilation artifacts carrying the graph are cached
+#: with pickle.
+_COMPILED: dict[tuple[int, bool, bool], _CompiledGraph] = {}
 
 
 def compiled_graph(
@@ -1216,10 +1232,9 @@ def compiled_graph(
     physical: bool,
     instrumented: bool = False,
     tracer=None,
-) -> _CompiledGraph | None:
-    """Compile ``graph`` to one generated Python function, once per
-    (graph, mode, instrumentation); ``None`` means "not compilable —
-    use the decoded tier" (also memoized)."""
+) -> _CompiledGraph:
+    """Compile ``graph`` to generated Python, once per (graph, mode,
+    instrumentation)."""
     key = (id(graph), bool(physical), bool(instrumented))
     if key in _COMPILED:
         return _COMPILED[key]
@@ -1228,22 +1243,14 @@ def compiled_graph(
         "simulate.codegen", physical=int(bool(physical))
     ) as sp:
         graph.validate()
-        try:
-            compiled = _Codegen(
-                graph, bool(physical), bool(instrumented)
-            ).generate()
-        except UnsupportedOp:
-            compiled = None
+        compiled = _Codegen(graph, bool(physical), bool(instrumented)).generate()
         if sp:
-            if compiled is None:
-                sp.add(fallback=1)
-            else:
-                sp.add(
-                    blocks=len(graph.blocks),
-                    instructions=compiled.instructions,
-                    labels=compiled.labels,
-                    source_lines=compiled.source.count("\n"),
-                )
+            sp.add(
+                blocks=len(graph.blocks),
+                instructions=compiled.instructions,
+                labels=compiled.labels,
+                source_lines=compiled.source_lines,
+            )
     _COMPILED[key] = compiled
     weakref.finalize(graph, _COMPILED.pop, key, None)
     return compiled

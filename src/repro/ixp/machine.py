@@ -23,29 +23,22 @@ IXP's deferred branch slot, unfilled), ``immed`` 1 (2 for constants wider
 than 16 bits), csr 3, hash 1 + unit latency, memory = issue 1 +
 space latency.
 
-Execution paths
+Execution tiers
 ---------------
 
-There are two execution paths with identical semantics:
+There are two tiers with identical semantics, chosen by ``Machine(mode=)``:
 
-- the **interpreter** (``Machine(..., decode=False)``) walks the
-  flowgraph instruction objects and re-derives everything — operand
-  kinds, bank legality, ALU dispatch — per dynamic instruction;
-- the **decoded** path (the default) first compiles the flowgraph into
-  one specialized step closure per instruction via :func:`decoded_graph`.
-  All static work — operand register keys, bound ALU/compare functions,
-  immediate widths, cycle costs, and every static legality check (ALU
-  operand/dst bank rules, transfer-bank move restriction, aggregate
-  adjacency, hash SameReg) — happens exactly once at decode time; the
-  per-instruction hot loop is a closure call over a plain dict register
-  file.  Decoded graphs are cached by flowgraph identity so repeated
-  runs (throughput benchmarks, fuzz campaigns, shrinker iterations)
-  reuse the decode.
-
-Statically-illegal instructions are decoded into *raiser* closures that
-replay the interpreter's dynamic reads and then raise the identical
-exception — decode itself never raises for an unreachable illegal
-instruction, exactly like the interpreter.
+- the **interpreter** (``mode="interp"``) walks the flowgraph instruction
+  objects and re-derives everything — operand kinds, bank legality, ALU
+  dispatch — per dynamic instruction.  It is the oracle the other tier
+  is checked against, so it keeps its own ALU/compare evaluators
+  (:func:`_alu_eval`, :func:`_cmp_eval`);
+- the **compiled** tier (``mode="compiled"``, the default) runs Python
+  source generated once per flowgraph by :mod:`repro.ixp.codegen`: all
+  static work (operand register keys, immediate widths, cycle costs and
+  every static legality check) happens at codegen time, and a
+  statically-illegal instruction becomes a segment that raises the
+  interpreter's exception when (and only when) it executes.
 """
 
 from __future__ import annotations
@@ -53,7 +46,6 @@ from __future__ import annotations
 import heapq
 import operator
 import sys
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,10 +70,10 @@ CLOCK_MHZ = 233  # IXP1200 in the paper (Section 11)
 #: dequeue (same cadence as the lock-bit spin).
 RING_RETRY = 4
 
-#: The three simulator speed tiers, slowest to fastest.  All three are
-#: observationally identical (cycles, stalls, memory images, errors);
+#: The two simulator tiers, oracle first.  Both are observationally
+#: identical (cycles, stalls, memory images, errors);
 #: ``tests/test_decode_parity.py`` pins the equivalence.
-SIM_MODES = ("interp", "decoded", "compiled")
+SIM_MODES = ("interp", "compiled")
 
 
 def _alu_eval(op: str, a: int, b: int | None) -> int:
@@ -106,8 +98,8 @@ def _alu_eval(op: str, a: int, b: int | None) -> int:
     raise SimulatorError(f"unknown ALU op '{op}'")
 
 
-#: Concrete functions for each ALU op, bound into closures at decode time
-#: (must agree with :func:`_alu_eval` bit for bit).
+#: Concrete functions for each ALU op; codegen folds constant operands
+#: through them (must agree with :func:`_alu_eval` bit for bit).
 _ALU_FNS: dict[str, Callable[[int, int | None], int]] = {
     "add": lambda a, b: (a + (b or 0)) & WORD_MASK,
     "sub": lambda a, b: (a - (b or 0)) & WORD_MASK,
@@ -163,10 +155,11 @@ def hash48(value: int) -> int:
 class RegisterFile:
     """Per-thread registers, keyed by Temp name or (bank, index).
 
-    The decoded path bypasses :meth:`read`/:meth:`write` entirely: step
-    closures address :attr:`values` directly with keys interned at decode
-    time, so the per-access ``isinstance``/``key()`` work happens once
-    per *static* instruction instead of once per *dynamic* one.
+    The compiled tier bypasses :meth:`read`/:meth:`write` entirely: its
+    generated code addresses :attr:`values` directly with keys interned
+    at codegen time, so the per-access ``isinstance``/``key()`` work
+    happens once per *static* instruction instead of once per *dynamic*
+    one.
     """
 
     physical: bool
@@ -286,33 +279,8 @@ class RunResult:
 
 
 # --------------------------------------------------------------------------
-# Decode stage: flowgraph → specialized step closures
+# Operand interning (shared with repro.ixp.codegen)
 # --------------------------------------------------------------------------
-#
-# Each instruction decodes to a *step* closure with the uniform signature
-#
-#     step(thread, clock) -> (cost, blocked)
-#
-# where ``blocked`` is None (keep running), an absolute finish time (the
-# thread sleeps until then), or the ``_YIELD`` sentinel (ctx_arb / halt:
-# yield the engine at the current clock).  Control flow is threaded
-# through ``thread.step``: every closure stores its successor (captured
-# at decode time) before returning; branch targets go through one-element
-# cells patched after all blocks decode, which handles CFG cycles.
-
-#: sentinel "blocked" value: yield the engine at the current clock
-_YIELD = object()
-
-
-class _DecodedGraph:
-    """One flowgraph compiled to closure-threaded steps."""
-
-    __slots__ = ("entry", "first_steps", "instructions")
-
-    def __init__(self, entry, first_steps, instructions):
-        self.entry = entry  # first step of the entry block
-        self.first_steps = first_steps  # block label → first step
-        self.instructions = instructions  # static instruction count
 
 
 def _intern_key(reg: isa.Reg, physical: bool) -> object:
@@ -344,707 +312,14 @@ def _read_spec(op, physical: bool):
     return ("reg", _intern_key(op, physical), f"read of undefined register {op}")
 
 
-def _raiser(exc: BaseException, prior) -> Callable:
-    """A step for a statically-illegal instruction.
-
-    Replays the dynamic register reads the interpreter would perform
-    *before* faulting (reads have no side effects, so replaying only
-    their definedness checks is exact), then raises the decode-time
-    exception with identical type and args.
-    """
-    exc_type, exc_args = type(exc), exc.args
-    prior = tuple(prior)
-
-    def step(thread, clock):
-        rv = thread.rv
-        for key, msg in prior:
-            if key not in rv:
-                raise SimulatorError(msg)
-        raise exc_type(*exc_args)
-
-    return step
-
-
-def _decode_alu(instr: isa.Alu, physical: bool, nxt) -> Callable:
-    try:
-        _check_alu_operands(instr, instr.uses())
-        _check_alu_dst(instr, instr.dst)
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    prior: list = []
-    try:
-        a = _read_spec(instr.a, physical)
-        if a[0] == "reg":
-            prior.append((a[1], a[2]))
-        b = None
-        if instr.b is not None:
-            b = _read_spec(instr.b, physical)
-            if b[0] == "reg":
-                prior.append((b[1], b[2]))
-        fn = _ALU_FNS.get(instr.op)
-        if fn is None:
-            raise SimulatorError(f"unknown ALU op '{instr.op}'")
-        dk = _intern_key(instr.dst, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, prior)
-
-    # Immediates participating in the bitwise ops can be masked at decode
-    # time (masking distributes over &, |, ^ against a masked operand);
-    # the other ops' functions mask their results, so their immediates
-    # stay raw — exactly what the interpreter computes.
-    bitwise = instr.op in ("and", "or", "xor")
-    if b is None:
-        if a[0] == "imm":
-            const = fn(a[1], None) & WORD_MASK
-
-            def step(thread, clock):
-                thread.rv[dk] = const
-                thread.step = nxt
-                return 1, None
-
-        else:
-            ak, amsg = a[1], a[2]
-
-            def step(thread, clock):
-                rv = thread.rv
-                try:
-                    value = rv[ak]
-                except KeyError:
-                    raise SimulatorError(amsg) from None
-                rv[dk] = fn(value, None)
-                thread.step = nxt
-                return 1, None
-
-    elif a[0] == "imm" and b[0] == "imm":
-        const = fn(a[1], b[1]) & WORD_MASK
-
-        def step(thread, clock):
-            thread.rv[dk] = const
-            thread.step = nxt
-            return 1, None
-
-    elif b[0] == "imm":
-        ak, amsg = a[1], a[2]
-        bv = b[1] & WORD_MASK if bitwise else b[1]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                value = rv[ak]
-            except KeyError:
-                raise SimulatorError(amsg) from None
-            rv[dk] = fn(value, bv)
-            thread.step = nxt
-            return 1, None
-
-    elif a[0] == "imm":
-        av = a[1] & WORD_MASK if bitwise else a[1]
-        bk, bmsg = b[1], b[2]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                value = rv[bk]
-            except KeyError:
-                raise SimulatorError(bmsg) from None
-            rv[dk] = fn(av, value)
-            thread.step = nxt
-            return 1, None
-
-    else:
-        ak, amsg = a[1], a[2]
-        bk, bmsg = b[1], b[2]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                value = fn(rv[ak], rv[bk])
-            except KeyError:
-                raise SimulatorError(
-                    amsg if ak not in rv else bmsg
-                ) from None
-            rv[dk] = value
-            thread.step = nxt
-            return 1, None
-
-    return step
-
-
-def _decode_copy(instr, physical: bool, nxt, cost: int) -> Callable:
-    """Shared tail of Move/Clone decoding: src → dst at ``cost`` cycles."""
-    prior: list = []
-    try:
-        src = _read_spec(instr.src, physical)
-        if src[0] == "reg":
-            prior.append((src[1], src[2]))
-        dk = _intern_key(instr.dst, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, prior)
-    if src[0] == "imm":
-        const = src[1] & WORD_MASK
-
-        def step(thread, clock):
-            thread.rv[dk] = const
-            thread.step = nxt
-            return cost, None
-
-    else:
-        sk, smsg = src[1], src[2]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                value = rv[sk]
-            except KeyError:
-                raise SimulatorError(smsg) from None
-            rv[dk] = value
-            thread.step = nxt
-            return cost, None
-
-    return step
-
-
-def _decode_move(instr: isa.Move, physical: bool, nxt) -> Callable:
-    try:
-        _check_alu_operands(instr, [instr.src])
-        _check_alu_dst(instr, instr.dst)
-        src_bank = _bank_of(instr.src)
-        dst_bank = _bank_of(instr.dst)
-        if (
-            src_bank is not None
-            and src_bank == dst_bank
-            and src_bank in (Bank.L, Bank.S, Bank.LD, Bank.SD)
-            and instr.src != instr.dst
-        ):
-            raise SimulatorError(
-                f"{instr}: no datapath within transfer bank {src_bank}"
-            )
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    return _decode_copy(instr, physical, nxt, 1)
-
-
-def _decode_clone(instr: isa.Clone, physical: bool, nxt) -> Callable:
-    if physical:
-        return _raiser(
-            SimulatorError("clone instruction survived register allocation"),
-            (),
-        )
-    return _decode_copy(instr, physical, nxt, 0)
-
-
-def _decode_immed(instr: isa.Immed, physical: bool, nxt) -> Callable:
-    try:
-        _check_alu_dst(instr, instr.dst)
-        dk = _intern_key(instr.dst, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    const = instr.value & WORD_MASK
-    cost = 1 if 0 <= instr.value < (1 << 16) else 2
-
-    def step(thread, clock):
-        thread.rv[dk] = const
-        thread.step = nxt
-        return cost, None
-
-    return step
-
-
-def _interp_mem(instr: isa.MemOp, nxt) -> Callable:
-    """Fallback for memory ops the interpreter faults on *midway* through
-    its side effects (``space.issue`` runs before register-key errors):
-    delegate to the interpreter for exact behaviour."""
-
-    def step(thread, clock):
-        cost, blocked = thread.machine._execute_mem(thread, instr, clock)
-        thread.step = nxt
-        return cost, blocked
-
-    return step
-
-
-def _decode_mem(instr: isa.MemOp, physical: bool, nxt) -> Callable:
-    try:
-        _check_aggregate(instr)
-        if instr.space == "rfifo" and instr.direction == "write":
-            raise SimulatorError("the receive FIFO is read-only")
-        if instr.space == "tfifo" and instr.direction == "read":
-            raise SimulatorError("the transmit FIFO is write-only")
-    except (SimulatorError, KeyError) as exc:
-        # KeyError: _check_aggregate indexes READ_BANK/WRITE_BANK before
-        # the fifo-direction guards; replicate the exact exception.
-        return _raiser(exc, ())
-    try:
-        addr = _read_spec(instr.addr, physical)
-        reg_keys = []
-        undef = {}
-        for reg in instr.regs:
-            key = _intern_key(reg, physical)
-            reg_keys.append(key)
-            undef[key] = f"read of undefined register {reg}"
-    except SimulatorError:
-        return _interp_mem(instr, nxt)
-    reg_keys = tuple(reg_keys)
-    n = len(reg_keys)
-    space_name = instr.space
-    if instr.direction == "read":
-        if addr[0] == "imm":
-            addr_const = addr[1]
-
-            def step(thread, clock):
-                space = thread.machine.memory[space_name]
-                finish = space.issue(clock + 1, n)
-                values = space.read(addr_const, n)
-                rv = thread.rv
-                for key, value in zip(reg_keys, values):
-                    rv[key] = value
-                thread.step = nxt
-                return 1, finish
-
-        else:
-            ak, amsg = addr[1], addr[2]
-
-            def step(thread, clock):
-                space = thread.machine.memory[space_name]
-                rv = thread.rv
-                try:
-                    addr_value = rv[ak]
-                except KeyError:
-                    raise SimulatorError(amsg) from None
-                finish = space.issue(clock + 1, n)
-                values = space.read(addr_value, n)
-                for key, value in zip(reg_keys, values):
-                    rv[key] = value
-                thread.step = nxt
-                return 1, finish
-
-    else:
-        if addr[0] == "imm":
-            addr_const = addr[1]
-
-            def step(thread, clock):
-                space = thread.machine.memory[space_name]
-                rv = thread.rv
-                finish = space.issue(clock + 1, n)
-                try:
-                    values = [rv[key] for key in reg_keys]
-                except KeyError as exc:
-                    raise SimulatorError(undef[exc.args[0]]) from None
-                space.write(addr_const, values)
-                thread.step = nxt
-                return 1, finish
-
-        else:
-            ak, amsg = addr[1], addr[2]
-
-            def step(thread, clock):
-                space = thread.machine.memory[space_name]
-                rv = thread.rv
-                try:
-                    addr_value = rv[ak]
-                except KeyError:
-                    raise SimulatorError(amsg) from None
-                finish = space.issue(clock + 1, n)
-                try:
-                    values = [rv[key] for key in reg_keys]
-                except KeyError as exc:
-                    raise SimulatorError(undef[exc.args[0]]) from None
-                space.write(addr_value, values)
-                thread.step = nxt
-                return 1, finish
-
-    return step
-
-
-def _decode_ring(instr: isa.RingOp, physical: bool, nxt) -> Callable:
-    ring_name = instr.ring
-    if instr.kind == "enq":
-        try:
-            src = _read_spec(instr.reg, physical)
-        except SimulatorError as exc:
-            return _raiser(exc, ())
-        if src[0] == "imm":
-            const = src[1]
-
-            def step(thread, clock):
-                ring = thread.machine.memory.ring(ring_name)
-                finish = ring.try_enqueue(clock + 1, const)
-                if finish is None:
-                    return 1, clock + RING_RETRY  # full: spin-retry
-                thread.step = nxt
-                return 1, finish
-
-        else:
-            sk, smsg = src[1], src[2]
-
-            def step(thread, clock):
-                ring = thread.machine.memory.ring(ring_name)
-                try:
-                    value = thread.rv[sk]
-                except KeyError:
-                    raise SimulatorError(smsg) from None
-                finish = ring.try_enqueue(clock + 1, value)
-                if finish is None:
-                    return 1, clock + RING_RETRY
-                thread.step = nxt
-                return 1, finish
-
-    else:
-        try:
-            dk = _intern_key(instr.reg, physical)
-        except SimulatorError as exc:
-            return _raiser(exc, ())
-
-        def step(thread, clock):
-            ring = thread.machine.memory.ring(ring_name)
-            popped = ring.try_dequeue(clock + 1)
-            if popped is None:
-                return 1, clock + RING_RETRY  # empty: spin-retry
-            value, finish = popped
-            thread.rv[dk] = value
-            thread.step = nxt
-            return 1, finish
-
-    return step
-
-
-def _decode_hash(instr: isa.HashInstr, physical: bool, nxt) -> Callable:
-    try:
-        src_bank, dst_bank = _bank_of(instr.src), _bank_of(instr.dst)
-        if src_bank is not None:
-            if src_bank is not Bank.S or dst_bank is not Bank.L:
-                raise SimulatorError(f"{instr}: hash reads S and writes L")
-            if instr.src.index != instr.dst.index:
-                raise SimulatorError(
-                    f"{instr}: hash dst/src must share a register "
-                    "number (SameReg)"
-                )
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    prior: list = []
-    try:
-        src = _read_spec(instr.src, physical)
-        if src[0] == "reg":
-            prior.append((src[1], src[2]))
-        dk = _intern_key(instr.dst, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, prior)
-    cost = 1 + HASH_LATENCY
-    if src[0] == "imm":
-        const = hash48(src[1])
-
-        def step(thread, clock):
-            thread.rv[dk] = const
-            thread.step = nxt
-            return cost, None
-
-    else:
-        sk, smsg = src[1], src[2]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                value = rv[sk]
-            except KeyError:
-                raise SimulatorError(smsg) from None
-            rv[dk] = hash48(value)
-            thread.step = nxt
-            return cost, None
-
-    return step
-
-
-def _decode_csr_rd(instr: isa.CsrRd, physical: bool, nxt) -> Callable:
-    try:
-        dk = _intern_key(instr.dst, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    csr = instr.csr
-
-    def step(thread, clock):
-        thread.rv[dk] = thread.machine.csrs.get(csr, 0) & WORD_MASK
-        thread.step = nxt
-        return 3, None
-
-    return step
-
-
-def _decode_csr_wr(instr: isa.CsrWr, physical: bool, nxt) -> Callable:
-    try:
-        src = _read_spec(instr.src, physical)
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    csr = instr.csr
-    if src[0] == "imm":
-        const = src[1]
-
-        def step(thread, clock):
-            thread.machine.csrs[csr] = const
-            thread.step = nxt
-            return 3, None
-
-    else:
-        sk, smsg = src[1], src[2]
-
-        def step(thread, clock):
-            try:
-                value = thread.rv[sk]
-            except KeyError:
-                raise SimulatorError(smsg) from None
-            thread.machine.csrs[csr] = value
-            thread.step = nxt
-            return 3, None
-
-    return step
-
-
-def _decode_ctx_arb(instr: isa.CtxArb, physical: bool, nxt) -> Callable:
-    def step(thread, clock):
-        thread.step = nxt
-        return 1, _YIELD
-
-    return step
-
-
-def _decode_lock(instr: isa.LockInstr, physical: bool, nxt) -> Callable:
-    number = instr.number
-    if instr.kind == "lock":
-
-        def step(thread, clock):
-            locks = thread.machine.locks
-            holder = locks.get(number)
-            if holder is None:
-                locks[number] = thread.tid
-                thread.step = nxt
-                return 1, None
-            if holder == thread.tid:
-                raise SimulatorError(
-                    f"thread {thread.tid} re-acquiring lock {number}"
-                )
-            # Spin: thread.step stays on this instruction for the retry.
-            return 1, clock + 4
-
-    else:
-
-        def step(thread, clock):
-            locks = thread.machine.locks
-            holder = locks.get(number)
-            if holder != thread.tid:
-                raise SimulatorError(
-                    f"thread {thread.tid} unlocking lock {number} held "
-                    f"by {holder}"
-                )
-            del locks[number]
-            thread.step = nxt
-            return 1, None
-
-    return step
-
-
-def _decode_br(instr: isa.Br, cells) -> Callable:
-    cell = cells[instr.target]
-
-    def step(thread, clock):
-        thread.step = cell[0]
-        return 2, None
-
-    return step
-
-
-def _decode_br_cmp(instr: isa.BrCmp, physical: bool, cells) -> Callable:
-    try:
-        _check_alu_operands(instr, instr.uses())
-    except SimulatorError as exc:
-        return _raiser(exc, ())
-    prior: list = []
-    try:
-        a = _read_spec(instr.a, physical)
-        if a[0] == "reg":
-            prior.append((a[1], a[2]))
-        b = _read_spec(instr.b, physical)
-        if b[0] == "reg":
-            prior.append((b[1], b[2]))
-        fn = _CMP_FNS.get(instr.cmp)
-        if fn is None:
-            raise SimulatorError(f"unknown comparison '{instr.cmp}'")
-    except SimulatorError as exc:
-        return _raiser(exc, prior)
-    tcell = cells[instr.then_target]
-    ecell = cells[instr.else_target]
-    # Comparison operands stay raw (the interpreter compares the raw
-    # immediate against the masked register value).
-    if a[0] == "imm" and b[0] == "imm":
-        target = tcell if fn(a[1], b[1]) else ecell
-
-        def step(thread, clock):
-            thread.step = target[0]
-            return 2, None
-
-    elif b[0] == "imm":
-        ak, amsg = a[1], a[2]
-        bv = b[1]
-
-        def step(thread, clock):
-            try:
-                taken = fn(thread.rv[ak], bv)
-            except KeyError:
-                raise SimulatorError(amsg) from None
-            thread.step = tcell[0] if taken else ecell[0]
-            return 2, None
-
-    elif a[0] == "imm":
-        av = a[1]
-        bk, bmsg = b[1], b[2]
-
-        def step(thread, clock):
-            try:
-                taken = fn(av, thread.rv[bk])
-            except KeyError:
-                raise SimulatorError(bmsg) from None
-            thread.step = tcell[0] if taken else ecell[0]
-            return 2, None
-
-    else:
-        ak, amsg = a[1], a[2]
-        bk, bmsg = b[1], b[2]
-
-        def step(thread, clock):
-            rv = thread.rv
-            try:
-                taken = fn(rv[ak], rv[bk])
-            except KeyError:
-                raise SimulatorError(
-                    amsg if ak not in rv else bmsg
-                ) from None
-            thread.step = tcell[0] if taken else ecell[0]
-            return 2, None
-
-    return step
-
-
-def _decode_halt(instr: isa.HaltInstr, physical: bool) -> Callable:
-    specs: list = []
-    prior: list = []
-    try:
-        for result in instr.results:
-            spec = _read_spec(result, physical)
-            if spec[0] == "reg":
-                specs.append((True, spec[1], spec[2]))
-                prior.append((spec[1], spec[2]))
-            else:
-                specs.append((False, spec[1], None))
-    except SimulatorError as exc:
-        return _raiser(exc, prior)
-    specs = tuple(specs)
-
-    def step(thread, clock):
-        rv = thread.rv
-        values = []
-        for is_reg, payload, msg in specs:
-            if is_reg:
-                try:
-                    values.append(rv[payload])
-                except KeyError:
-                    raise SimulatorError(msg) from None
-            else:
-                values.append(payload)
-        values = tuple(values)
-        thread.halt_values = values
-        thread.machine.results.append((thread.tid, values))
-        thread.stats.iterations += 1
-        thread.iteration += 1
-        thread.restart()
-        return 1, _YIELD
-
-    return step
-
-
-def _decode_instr(instr: isa.Instr, physical: bool, nxt, cells) -> Callable:
-    if isinstance(instr, isa.Alu):
-        step = _decode_alu(instr, physical, nxt)
-    elif isinstance(instr, isa.Move):
-        step = _decode_move(instr, physical, nxt)
-    elif isinstance(instr, isa.Clone):
-        step = _decode_clone(instr, physical, nxt)
-    elif isinstance(instr, isa.Immed):
-        step = _decode_immed(instr, physical, nxt)
-    elif isinstance(instr, isa.MemOp):
-        step = _decode_mem(instr, physical, nxt)
-    elif isinstance(instr, isa.RingOp):
-        step = _decode_ring(instr, physical, nxt)
-    elif isinstance(instr, isa.HashInstr):
-        step = _decode_hash(instr, physical, nxt)
-    elif isinstance(instr, isa.CsrRd):
-        step = _decode_csr_rd(instr, physical, nxt)
-    elif isinstance(instr, isa.CsrWr):
-        step = _decode_csr_wr(instr, physical, nxt)
-    elif isinstance(instr, isa.CtxArb):
-        step = _decode_ctx_arb(instr, physical, nxt)
-    elif isinstance(instr, isa.LockInstr):
-        step = _decode_lock(instr, physical, nxt)
-    elif isinstance(instr, isa.Br):
-        step = _decode_br(instr, cells)
-    elif isinstance(instr, isa.BrCmp):
-        step = _decode_br_cmp(instr, physical, cells)
-    elif isinstance(instr, isa.HaltInstr):
-        step = _decode_halt(instr, physical)
-    else:
-        step = _raiser(
-            SimulatorError(f"unhandled instruction {instr!r}"), ()
-        )
-    step.opcode = _opcode_of(instr)
-    return step
-
-
-def _decode_blocks(graph: FlowGraph, physical: bool) -> _DecodedGraph:
-    # Branch targets resolve through one-element cells patched after all
-    # blocks decode, so CFG cycles need no special ordering.
-    cells: dict[str, list] = {label: [None] for label in graph.blocks}
-    first_steps: dict[str, Callable] = {}
-    count = 0
-    for label, block in graph.blocks.items():
-        step = None
-        for instr in reversed(block.instrs):
-            step = _decode_instr(instr, physical, step, cells)
-            count += 1
-        first_steps[label] = step
-        cells[label][0] = step
-    return _DecodedGraph(first_steps[graph.entry], first_steps, count)
-
-
-#: (id(graph), physical) → decoded program.  Entries evict when the graph
-#: is garbage collected (weakref.finalize), so id() reuse cannot alias.
-#: Kept off the FlowGraph itself: closures don't pickle, and compilation
-#: artifacts carrying the graph are cached with pickle.
-_DECODED: dict[tuple[int, bool], _DecodedGraph] = {}
-
-
-def decoded_graph(graph: FlowGraph, physical: bool, tracer=None) -> _DecodedGraph:
-    """Decode ``graph`` into step closures, once per (graph, mode)."""
-    key = (id(graph), bool(physical))
-    cached = _DECODED.get(key)
-    if cached is not None:
-        return cached
-    tracer = ensure(tracer)
-    with tracer.span("simulate.decode", physical=int(bool(physical))) as sp:
-        graph.validate()
-        decoded = _decode_blocks(graph, bool(physical))
-        if sp:
-            sp.add(blocks=len(graph.blocks), instructions=decoded.instructions)
-    _DECODED[key] = decoded
-    weakref.finalize(graph, _DECODED.pop, key, None)
-    return decoded
-
-
 class _Thread:
     # Slotted: ``thread.<attr>`` reads/writes bracket every execution
-    # slice on all three tiers (prologue, exits, the run loop).
+    # slice on both tiers (prologue, exits, the run loop).
     __slots__ = (
         "tid",
         "machine",
         "regs",
         "rv",
-        "step",
         "cpc",
         "block",
         "index",
@@ -1059,9 +334,7 @@ class _Thread:
         self.tid = tid
         self.machine = machine
         self.regs = RegisterFile(machine.physical)
-        self.rv = self.regs.values  # the decoded path's register dict
-        decoded = machine.decoded
-        self.step = decoded.entry if decoded is not None else None
+        self.rv = self.regs.values  # the compiled tier's register dict
         self.cpc = 0  # compiled tier: resume label (entry block head)
         self.block = machine.graph.entry
         self.index = 0
@@ -1086,9 +359,6 @@ class _Thread:
         self.cpc = 0
         self.block = machine.graph.entry
         self.index = 0
-        decoded = machine.decoded
-        if decoded is not None:
-            self.step = decoded.entry
 
     def restart(self) -> bool:
         inputs = self.machine.input_provider(self.tid, self.iteration)
@@ -1111,8 +381,7 @@ class Machine:
         input_provider: Callable[[int, int], dict | None] | None = None,
         max_cycles: int = 50_000_000,
         tracer=None,
-        decode: bool = True,
-        mode: str | None = None,
+        mode: str = "compiled",
     ):
         graph.validate()
         self.graph = graph
@@ -1126,24 +395,12 @@ class Machine:
         if physical is None:
             physical = _guess_physical(graph)
         self.physical = physical
-        # ``mode`` names the speed tier explicitly; the older ``decode``
-        # flag keeps working as the interp/decoded switch.
-        if mode is None:
-            mode = "decoded" if decode else "interp"
         if mode not in SIM_MODES:
             raise ValueError(
                 f"unknown simulator mode '{mode}' (expected one of "
                 f"{', '.join(SIM_MODES)})"
             )
         self.mode = mode
-        # The compiled tier keeps the decoded graph too: it is the
-        # fallback when codegen declines an op, and threads resume
-        # through either representation identically.
-        self.decoded = (
-            decoded_graph(graph, physical, self.tracer)
-            if mode != "interp"
-            else None
-        )
         self.compiled = None
         if mode == "compiled":
             from repro.ixp.codegen import compiled_graph
@@ -1168,12 +425,10 @@ class Machine:
         # (max_cycles, memory, locks, csrs, results, histogram) into
         # closure cells here, so slices pay no per-call attribute loads.
         # ``_loop`` is the compiled tier's whole-run scheduler (run()'s
-        # loop with the dispatch inlined); other tiers use run()'s own.
+        # loop with the dispatch inlined); the interpreter uses run()'s own.
         self._loop = None
         if self.compiled is not None:
             self._slice, self._loop = self.compiled.bind(self)
-        elif self.decoded is not None:
-            self._slice = self._run_thread_decoded
         else:
             self._slice = self._run_thread
 
@@ -1275,33 +530,6 @@ class Machine:
         entry = self._opcode_hist.setdefault(_opcode_of(instr), [0, 0])
         entry[0] += 1
         entry[1] += cost
-
-    def _run_thread_decoded(self, thread: _Thread, clock: int) -> int:
-        """Closure-threaded twin of :meth:`_run_thread` — the hot loop."""
-        hist = self._opcode_hist
-        max_cycles = self.max_cycles
-        stats = thread.stats
-        while True:
-            step = thread.step
-            stats.instructions += 1
-            cost, blocked = step(thread, clock)
-            if hist is not None:
-                entry = hist.setdefault(step.opcode, [0, 0])
-                entry[0] += 1
-                entry[1] += cost
-            clock += cost
-            if clock > max_cycles:
-                raise SimulatorError(
-                    f"simulation exceeded {max_cycles} cycles"
-                )
-            if blocked is not None:
-                if blocked is _YIELD:
-                    thread.ready_at = clock
-                    return clock
-                thread.ready_at = blocked
-                if blocked > clock:
-                    stats.mem_stall_cycles += blocked - clock
-                return clock
 
     def _run_thread(self, thread: _Thread, clock: int) -> int:
         """Run until the thread blocks, halts, or yields; returns clock."""
@@ -1461,7 +689,8 @@ class Machine:
     ) -> tuple[int, int | None]:
         regs = thread.regs
         # Static operand faults come before the ring lookup and before
-        # any side effect — the decoded path raises them at decode time.
+        # any side effect — the compiled tier raises them from segments
+        # it generates for them.
         key = None
         if not isinstance(instr.reg, isa.Imm):
             key = regs.key(instr.reg)
@@ -1559,8 +788,7 @@ def run_virtual(
     memory: MemorySystem | None = None,
     iterations: int = 1,
     threads: int = 1,
-    decode: bool = True,
-    mode: str | None = None,
+    mode: str = "compiled",
 ) -> RunResult:
     """Convenience: run a virtual-register flowgraph a fixed number of
     iterations per thread with constant inputs."""
@@ -1576,7 +804,6 @@ def run_virtual(
         threads=threads,
         physical=False,
         input_provider=provider,
-        decode=decode,
         mode=mode,
     )
     return machine.run()

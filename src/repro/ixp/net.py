@@ -157,11 +157,9 @@ class NetConfig:
     #: descriptor's ring push landing (the dispatch stage's steering +
     #: descriptor-write latency; the descriptor is pollable only then).
     dispatch_cycles: int = 8
-    #: run the pre-decoded execution path (False = interpreter).
-    decode: bool = True
-    #: simulator speed tier for the engines ("interp", "decoded" or
-    #: "compiled"); ``None`` keeps the older ``decode`` switch.
-    sim_mode: str | None = None
+    #: simulator tier for the engines: "compiled" (generated code) or
+    #: "interp" (the reference interpreter); observably identical.
+    sim_mode: str = "compiled"
     #: explicit traffic trace: when set the source replays these events
     #: verbatim (``arrival``/``mean_gap``/``burst``/``packets``/``seed``
     #: no longer shape the traffic) via the app's ``replay`` constructor.
@@ -440,20 +438,35 @@ def trace_from_json(rows: list) -> tuple[TraceEvent, ...]:
 
 
 def config_to_dict(config: NetConfig) -> dict:
-    """A :class:`NetConfig` as a plain JSON topology dict (no trace).
+    """A :class:`NetConfig` as a plain JSON topology dict.
 
     The traffic trace is serialized separately (:func:`trace_to_json`)
     — witness artifacts and corpus entries store topology and traffic
-    as distinct, independently swappable axes.
+    as distinct, independently swappable axes.  The simulator tier is
+    not written: it is not a scenario axis (the tiers are identical by
+    contract).
     """
     from dataclasses import asdict
 
-    return {k: v for k, v in asdict(config).items() if k != "trace"}
+    return {
+        k: v
+        for k, v in asdict(config).items()
+        if k not in ("trace", "sim_mode")
+    }
 
 
 def config_from_dict(data: dict) -> NetConfig:
-    """Inverse of :func:`config_to_dict`; unknown keys are rejected."""
-    return NetConfig(**{k: v for k, v in data.items() if k != "trace"})
+    """Inverse of :func:`config_to_dict`.
+
+    The simulator-tier keys older versions wrote (``decode``,
+    ``sim_mode``) are dropped, so stored corpora stay loadable; any
+    other unknown key is rejected.
+    """
+    return NetConfig(**{
+        k: v
+        for k, v in data.items()
+        if k not in ("trace", "decode", "sim_mode")
+    })
 
 
 def memory_digest(memory: MemorySystem) -> str:
@@ -692,7 +705,6 @@ class NetRuntime:
                 physical=physical,
                 input_provider=lambda tid, it: None,  # runtime dispatches
                 max_cycles=machine_budget,
-                decode=config.decode,
                 mode=config.sim_mode,
             )
             for _ in range(config.engines)
@@ -756,7 +768,7 @@ class NetRuntime:
         :meth:`_gap` after the first burst fired."""
         if config.engines <= 0 or config.threads <= 0:
             raise ValueError("need at least one engine and one thread")
-        if config.sim_mode is not None and config.sim_mode not in SIM_MODES:
+        if config.sim_mode not in SIM_MODES:
             raise ValueError(
                 f"unknown simulator mode '{config.sim_mode}' "
                 f"(expected one of {', '.join(SIM_MODES)})"
@@ -1494,13 +1506,9 @@ def pump_main(argv: list[str]) -> int:
                         help="payload-size choices, e.g. 16,32,64")
     parser.add_argument("--virtual", action="store_true",
                         help="skip the ILP allocator (fast smoke runs)")
-    parser.add_argument("--interp", action="store_true",
-                        help="use the reference interpreter instead of the "
-                             "pre-decoded execution path")
-    parser.add_argument("--sim-mode", choices=SIM_MODES, default=None,
-                        help="simulator speed tier for the engines "
-                             "(overrides --interp; 'compiled' runs the "
-                             "codegen tier)")
+    parser.add_argument("--sim-mode", choices=SIM_MODES, default="compiled",
+                        help="simulator tier for the engines: generated "
+                             "code (default) or the reference interpreter")
     parser.add_argument("--cache-dir", metavar="DIR",
                         help="content-addressed compile cache directory")
     parser.add_argument("--trace", action="store_true",
@@ -1557,11 +1565,9 @@ def pump_main(argv: list[str]) -> int:
         burst=args.burst,
         sink_gap=args.sink_gap,
         steer=args.steer,
-        decode=not args.interp,
         sim_mode=args.sim_mode,
     )
     mode = "virtual" if args.virtual else "physical"
-    tier = args.sim_mode or ("interp" if args.interp else "decoded")
 
     if args.chips > 1:
         # Multi-chip deployment: the compile above warmed the cache (if
@@ -1582,7 +1588,7 @@ def pump_main(argv: list[str]) -> int:
             return 1
         summary = sharded.summary()
         print(
-            f"pump {args.app} ({mode}, {tier}, "
+            f"pump {args.app} ({mode}, {args.sim_mode}, "
             f"{args.chips} chips x {config.engines}x{config.threads})"
         )
         for key in (
@@ -1611,7 +1617,7 @@ def pump_main(argv: list[str]) -> int:
         return 1
 
     summary = result.summary()
-    print(f"pump {args.app} ({mode}, {tier})")
+    print(f"pump {args.app} ({mode}, {args.sim_mode})")
     for key in (
         "engines", "threads", "generated", "completed", "dropped",
         "inflight", "mismatches", "cycles", "mbps", "latency_p50",

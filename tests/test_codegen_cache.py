@@ -1,21 +1,23 @@
-"""Codegen cache semantics: identity keying, eviction, sharing, fallback.
+"""Codegen cache semantics: identity keying, eviction, sharing, unknown ops.
 
-The compiled-function cache must behave exactly like the decode cache
-(``machine._DECODED``): keyed by graph *identity* (two equal graphs get
-two compiles; one graph gets one), entries evicted when the graph is
-garbage collected so ``id()`` reuse cannot alias, and every Machine
-sharing a FlowGraph sharing one generated function.  An instruction the
-generator does not cover makes the whole graph fall back to the decoded
-tier — memoized, graceful, never an error.
+The compiled-function cache is keyed by graph *identity* (two equal
+graphs get two compiles; one graph gets one), entries are evicted when
+the graph is garbage collected so ``id()`` reuse cannot alias, and every
+Machine sharing a FlowGraph shares one generated function.  An
+instruction kind the generator does not know compiles like any other
+static fault: silent until executed, then the interpreter's exact error.
 """
 
 import gc
 
+import pytest
+
+from repro.errors import SimulatorError
 from repro.ixp import codegen, isa
 from repro.ixp.banks import Bank
 from repro.ixp.codegen import compiled_graph
 from repro.ixp.flowgraph import Block, FlowGraph
-from repro.ixp.machine import Machine
+from repro.ixp.machine import SIM_MODES, Machine
 
 from tests.helpers import compile_virtual
 
@@ -97,16 +99,15 @@ class _Mystery(isa.Instr):
         return "mystery"
 
 
-def _graph_with_mystery():
-    # The mystery op sits on a never-executed path, so the decoded
-    # fallback runs the program to completion (lazy faulting keeps
-    # unreached illegal instructions silent on every tier).
+def _graph_with_mystery(reached: bool):
+    # Lazy faulting: the mystery op raises only if it executes, on every
+    # tier, exactly like a statically illegal instruction.
     return FlowGraph(
         "entry",
         {
             "entry": Block(
                 "entry",
-                [isa.Immed(_a(0), 7), isa.Br("good")],
+                [isa.Immed(_a(0), 7), isa.Br("bad" if reached else "good")],
             ),
             "bad": Block("bad", [_Mystery(), isa.HaltInstr(())]),
             "good": Block("good", [isa.HaltInstr((_a(0),))]),
@@ -115,12 +116,22 @@ def _graph_with_mystery():
     )
 
 
-def test_uncovered_op_falls_back_to_decoded_tier():
-    graph = _graph_with_mystery()
-    assert compiled_graph(graph, True) is None
-    # The decline is memoized like a successful compile.
-    assert compiled_graph(graph, True) is None
+def test_unreached_unknown_op_compiles_and_runs():
+    graph = _graph_with_mystery(reached=False)
+    assert compiled_graph(graph, True) is not None
     machine = Machine(graph, physical=True, mode="compiled")
-    assert machine.compiled is None
-    assert machine.decoded is not None
     assert machine.run().results == [(0, (7,))]
+
+
+def test_reached_unknown_op_raises_the_interpreters_error():
+    errors = {}
+    for mode in SIM_MODES:
+        machine = Machine(_graph_with_mystery(reached=True), physical=True,
+                          mode=mode)
+        with pytest.raises(SimulatorError) as exc_info:
+            machine.run()
+        errors[mode] = (type(exc_info.value), str(exc_info.value))
+    assert errors["compiled"] == errors["interp"]
+    assert errors["interp"] == (
+        SimulatorError, "unhandled instruction mystery"
+    )

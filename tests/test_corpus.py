@@ -30,7 +30,12 @@ from repro.fuzz.netgen import (
     gen_scenario,
     run_net_campaign,
 )
-from repro.ixp.net import config_to_dict, coverage_signature, run_stream
+from repro.ixp.net import (
+    config_from_dict,
+    config_to_dict,
+    coverage_signature,
+    run_stream,
+)
 from repro.fuzz.netgen import _fingerprints
 
 
@@ -217,7 +222,42 @@ def test_entries_persist_as_stable_json(tmp_path, recorded1):
     assert payload["program"] == scenario.program.source
     assert payload["topology"]["engines"] == scenario.config.engines
     assert "trace" not in payload["topology"]
+    assert "sim_mode" not in payload["topology"]
     assert payload["signature"] == list(report.signature)
+
+
+#: seed 1's topology as older versions stored it: with the switch of the
+#: since-removed decoded simulator tier and a null ``sim_mode``.
+LEGACY_TOPOLOGY = {
+    "engines": 3, "threads": 4, "rx_capacity": 8, "tx_capacity": 32,
+    "packets": 19, "max_cycles": None, "seed": 1, "arrival": "poisson",
+    "mean_gap": 12.0, "burst": 2, "sink_gap": 25, "poll": 16,
+    "steer": "flow", "dispatch_cycles": 4, "decode": True, "sim_mode": None,
+}
+
+
+def test_stored_entry_with_legacy_tier_keys_loads_and_replays(
+    tmp_path, recorded1
+):
+    scenario, _app, report = recorded1
+    assert config_to_dict(scenario.config) == {
+        k: v for k, v in LEGACY_TOPOLOGY.items()
+        if k not in ("decode", "sim_mode")
+    }
+    entry = entry_from_scenario(scenario, report.trace, report.signature)
+    CorpusStore(tmp_path).add(entry)
+    path = tmp_path / f"entry-{entry.entry_id}.json"
+    payload = json.loads(path.read_text())
+    payload["topology"] = dict(LEGACY_TOPOLOGY)
+    path.write_text(json.dumps(payload))
+    store = CorpusStore(tmp_path)
+    assert store.entries[entry.entry_id].config() == scenario.config
+    assert store.verify() == []
+
+
+def test_unknown_topology_key_still_rejected():
+    with pytest.raises(TypeError):
+        config_from_dict({**LEGACY_TOPOLOGY, "warp": 1})
 
 
 # -- end-to-end campaign acceptance ----------------------------------------

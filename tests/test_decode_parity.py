@@ -1,13 +1,12 @@
-"""Three-way simulator-tier parity: interp = decoded = compiled.
+"""Simulator-tier parity: interp = compiled.
 
-The three speed tiers — the reference interpreter
-(``Machine(mode="interp")``), the pre-decoded closure path
-(``mode="decoded"``, the default) and the codegen tier
-(``mode="compiled"``) — must agree *bit for bit*: same cycles, halt
-values, per-thread stats, final memory images, raised error type and
-message, and (under tracing) per-opcode histograms — on every program:
-the curated semantic cases, the fuzz reproducers, and freshly generated
-fuzz programs.  The decoded tier is the compiled tier's parity oracle.
+The two tiers — the reference interpreter (``Machine(mode="interp")``)
+and the codegen tier (``mode="compiled"``, the default) — must agree
+*bit for bit*: same cycles, halt values, per-thread stats, final memory
+images, raised error type and message, and (under tracing) per-opcode
+histograms — on every program: the curated semantic cases, the fuzz
+reproducers, and freshly generated fuzz programs.  The interpreter is
+the oracle.
 """
 
 import dataclasses
@@ -31,8 +30,8 @@ from tests.test_reproducers import CASES as REPRO_CASES, REPRODUCERS
 #: the expensive part; virtual parity below covers every case)
 PHYSICAL_CASES = [c.name for c in CASES[:8]]
 
-#: every simulator speed tier, checked pairwise against the first.
-MODES = ("interp", "decoded", "compiled")
+#: both simulator tiers, the oracle first.
+MODES = ("interp", "compiled")
 
 
 def _snapshot(memory) -> dict:
@@ -87,7 +86,6 @@ def _assert_parity(comp, physical, raw_inputs, memory_image=None):
         mode: _observe(comp, physical, raw_inputs, memory_image, mode)
         for mode in MODES
     }
-    assert observed["decoded"] == observed["interp"]
     assert observed["compiled"] == observed["interp"]
 
 
@@ -148,23 +146,14 @@ def test_opcode_histogram_equality_under_tracing():
         tracer = Tracer()
         _observe(comp, False, raw, None, mode, tracer=tracer)
         traces[mode] = tracer
-    hist = _histogram(traces["decoded"])
-    assert hist == _histogram(traces["interp"])
+    hist = _histogram(traces["interp"])
     assert hist == _histogram(traces["compiled"])
     assert hist, "tracing should record per-opcode counters"
-    assert any(
-        span.name == "simulate.decode" for span in traces["decoded"].spans
-    ), "decoding under a tracer must emit a simulate.decode span"
-    assert not any(
-        span.name == "simulate.decode" for span in traces["interp"].spans
-    )
     assert any(
         span.name == "simulate.codegen" for span in traces["compiled"].spans
     ), "compiling under a tracer must emit a simulate.codegen span"
     assert not any(
-        span.name == "simulate.codegen"
-        for tier in ("interp", "decoded")
-        for span in traces[tier].spans
+        span.name == "simulate.codegen" for span in traces["interp"].spans
     )
 
 
@@ -197,7 +186,6 @@ def test_error_message_parity():
         with pytest.raises(SimulatorError) as exc_info:
             Machine(_trap_graph(), physical=True, mode=mode).run()
         messages[mode] = (type(exc_info.value).__name__, str(exc_info.value))
-    assert messages["decoded"] == messages["interp"]
     assert messages["compiled"] == messages["interp"]
     assert "two operands from bank A" in messages["interp"][1]
 
@@ -256,7 +244,6 @@ def _assert_ring_parity(make_graph, threads, prefill=(), capacity=4,
             make_graph(), _ring_memory(prefill, capacity), threads, mode,
             provider,
         )
-    assert observed["decoded"] == observed["interp"]
     assert observed["compiled"] == observed["interp"]
     return observed["interp"]
 
@@ -426,12 +413,11 @@ def test_ring_error_parity_unknown_ring_and_bad_operand():
             )
             assert "error" in out
             messages[mode] = out["error"]
-        assert messages["decoded"] == messages["interp"]
         assert messages["compiled"] == messages["interp"]
 
 
 def test_unreached_illegal_instruction_does_not_trap_at_decode():
-    """Static checks move to decode time, but failures stay lazy: an
+    """Static checks move to codegen time, but failures stay lazy: an
     illegal instruction that never executes must not raise."""
     graph = FlowGraph(
         "entry",

@@ -101,11 +101,11 @@ def test_sim_compiled_config_agrees_with_reference():
 
 
 def test_miscompiled_simulator_caught_by_sim_compiled_config():
-    """A codegen-tier bug diverges sim-compiled from the decoded ref.
+    """A codegen-tier bug diverges sim-compiled from the interpreted ref.
 
     FOLD_WITNESS carries runtime xors (``j5 ^ j2``, ``mixed ^ j7``), so
     the patched ALU template changes what the *generated* code computes
-    while the decoded reference stays correct.
+    while the reference, run on the interpreter, stays correct.
     """
     with broken_codegen(op="xor", delta=1):
         report = check_program(
@@ -116,10 +116,10 @@ def test_miscompiled_simulator_caught_by_sim_compiled_config():
     assert "results" in kinds
 
 
-def test_miscompiled_simulator_invisible_to_decoded_only_configs():
+def test_miscompiled_simulator_invisible_to_interp_only_configs():
     """Control: the same injection passes a matrix that never runs the
     compiled tier — the bug lives in the simulator backend, not in the
-    compiled program, so decoded-vs-decoded comparisons can't see it."""
+    compiled program, so interp-vs-interp comparisons can't see it."""
     with broken_codegen(op="xor", delta=1):
         report = check_program(
             FOLD_WITNESS, VECTORS, configs=default_configs(["no-opt"])

@@ -169,14 +169,14 @@ class TestCycleModel:
         assert four.cycles < one.cycles * 4
 
 
-@pytest.fixture(params=[True, False], ids=["decoded", "interp"])
-def decode(request):
-    """Run datapath-check tests under both execution paths."""
+@pytest.fixture(params=["interp", "compiled"])
+def mode(request):
+    """Run datapath-check tests under both simulator tiers."""
     return request.param
 
 
 class TestPhysicalChecks:
-    def test_legal_alu(self, decode):
+    def test_legal_alu(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 1),
@@ -185,10 +185,10 @@ class TestPhysicalChecks:
                 isa.HaltInstr((P(Bank.A, 1),)),
             ]
         )
-        machine = Machine(graph, physical=True, decode=decode)
+        machine = Machine(graph, physical=True, mode=mode)
         assert machine.run().results == [(0, (3,))]
 
-    def test_two_operands_same_bank_trap(self, decode):
+    def test_two_operands_same_bank_trap(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 1),
@@ -198,9 +198,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="two operands from bank A"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_two_transfer_operands_trap(self, decode):
+    def test_two_transfer_operands_trap(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 0),
@@ -211,9 +211,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="transfer banks"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_alu_result_to_read_bank_traps(self, decode):
+    def test_alu_result_to_read_bank_traps(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 1),
@@ -222,9 +222,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="cannot go to bank"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_move_within_transfer_bank_traps(self, decode):
+    def test_move_within_transfer_bank_traps(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 0),
@@ -234,9 +234,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="cannot go to bank"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_aggregate_must_be_adjacent(self, decode):
+    def test_aggregate_must_be_adjacent(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 0),
@@ -247,9 +247,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="adjacent"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_aggregate_wrong_bank_traps(self, decode):
+    def test_aggregate_wrong_bank_traps(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 0),
@@ -258,9 +258,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="not in bank"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_address_from_transfer_bank_traps(self, decode):
+    def test_address_from_transfer_bank_traps(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 0),
@@ -270,9 +270,9 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="address"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_hash_same_register_number_enforced(self, decode):
+    def test_hash_same_register_number_enforced(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.S, 2), 1),
@@ -281,14 +281,14 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="SameReg"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_register_index_bounds(self, decode):
+    def test_register_index_bounds(self, mode):
         graph = graph_of([isa.Immed(P(Bank.A, 16), 1), isa.HaltInstr(())])
         with pytest.raises(SimulatorError, match="out of range"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
-    def test_clone_must_not_survive_allocation(self, decode):
+    def test_clone_must_not_survive_allocation(self, mode):
         graph = graph_of(
             [
                 isa.Immed(P(Bank.A, 0), 1),
@@ -297,7 +297,7 @@ class TestPhysicalChecks:
             ]
         )
         with pytest.raises(SimulatorError, match="clone"):
-            Machine(graph, physical=True, decode=decode).run()
+            Machine(graph, physical=True, mode=mode).run()
 
 
 class TestMemorySystem:

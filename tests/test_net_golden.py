@@ -40,7 +40,7 @@ CONFIG = NetConfig(
 )
 
 
-def _transcript(sim_mode: str | None = None) -> str:
+def _transcript(sim_mode: str = CONFIG.sim_mode) -> str:
     import dataclasses
 
     app = stream_app("nat", None)
@@ -59,11 +59,12 @@ def test_nat_stream_compiled_tier_transcript_is_byte_identical():
     """The codegen tier must be invisible to the streaming runtime: the
     whole transcript — packet order, per-packet timing, drops, RX
     high-water marks, the conservation verdict and the memory digest —
-    must match the decoded tier's byte for byte."""
-    assert _transcript("compiled") == _transcript("decoded")
+    must match the interpreter's byte for byte."""
+    assert _transcript("compiled") == _transcript("interp")
 
 
 def test_nat_stream_matches_golden(update_goldens):
+    """The default tier's transcript and the interpreter's both match."""
     transcript = _transcript()
     if update_goldens:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -72,10 +73,13 @@ def test_nat_stream_matches_golden(update_goldens):
     assert GOLDEN_PATH.exists(), (
         "missing streaming golden; run pytest with --update-goldens"
     )
-    assert transcript == GOLDEN_PATH.read_text(), (
-        f"streaming transcript drifted from {GOLDEN_PATH.name}; if the "
-        "timing-model change is intentional, rerun with --update-goldens"
-    )
+    golden = GOLDEN_PATH.read_text()
+    for tier, text in (("default", transcript), ("interp", _transcript("interp"))):
+        assert text == golden, (
+            f"{tier} streaming transcript drifted from {GOLDEN_PATH.name}; "
+            "if the timing-model change is intentional, rerun with "
+            "--update-goldens"
+        )
 
 
 def test_golden_covers_drops_and_contention():

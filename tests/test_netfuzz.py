@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
-from repro.fuzz.inject import broken_steering
+from repro.fuzz.inject import broken_codegen, broken_steering
 from repro.fuzz.netgen import (
     build_scenario_app,
     check_scenario,
@@ -22,6 +22,7 @@ from repro.fuzz.netgen import (
     trace_to_json,
     validation_probes,
 )
+from repro.ixp import isa
 from repro.trace import Tracer
 
 
@@ -84,6 +85,25 @@ def test_broken_steering_is_caught_and_shrunk(scenario6):
     assert stats["predicate_calls"] <= 160
     # with the patch gone the same scenario is healthy again
     assert check_scenario(scenario6, app=app).ok
+
+
+def test_broken_codegen_is_caught_as_sink_mismatches():
+    """Streams run on generated code while the expected halt values come
+    from the interpreter, so a miscompiled ALU template surfaces as sink
+    mismatches.  Seed 1's program xors runtime values; without the
+    injection it passes (``test_clean_scenarios_pass_every_invariant``)."""
+    scenario = gen_scenario(1)
+    with broken_codegen(op="xor", delta=1):
+        app = build_scenario_app(scenario)
+        assert any(
+            isinstance(instr, isa.Alu) and instr.op == "xor"
+            for _, _, instr in app.comp.flowgraph.instructions()
+        )
+        report = check_scenario(scenario, app=app)
+    assert report.invalid is None
+    assert any(
+        "mismatched the reference" in v for v in report.violations
+    ), report.violations
 
 
 def test_campaign_writes_witness_artifact(tmp_path, scenario6):
