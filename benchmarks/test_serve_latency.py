@@ -1,4 +1,4 @@
-"""``novac serve`` latency and the solver-portfolio race.
+"""``novac serve`` latency and the warm-start ablation.
 
 Two claims from the daemon's design get measured and recorded to
 ``BENCH_serve.json`` at the repo root:
@@ -11,13 +11,13 @@ Two claims from the daemon's design get measured and recorded to
    ``WARM_REQUESTS`` requests) against a wall-clock in-process
    ``compile_nova``.
 
-2. **The portfolio race costs at most 10% over the faster of its two
-   engines.**  On the paper's Figure 5-7 applications (AES / Kasumi /
-   NAT) the allocation ILP is solved under ``highs`` alone, ``bnb``
-   alone (time-capped — on these models it typically cannot finish),
-   cold ``portfolio``, and warm ``portfolio`` (hint recorded by the
-   cold run).  Wall-clock, one round each, since a single solve is
-   seconds.
+2. **A warm-started solve is no slower than a cold one.**  On the
+   paper's Figure 5-7 applications (AES / Kasumi / NAT) the allocation
+   ILP is solved through ``solve_model`` by ``highs`` cold (which
+   records the hint, as a daemon miss does) and then ``highs`` warm
+   (seeded by that hint), plus ``bnb`` alone, time-capped — on these
+   models it typically cannot finish.  Wall-clock, one round each,
+   since a single solve is seconds.
 
 ``benchmarks/serve_smoke.py`` exercises the daemon lifecycle in CI;
 this file is the locally-run measurement (like the Figure 7 table).
@@ -34,6 +34,7 @@ from repro.alloc.ilpmodel import ModelOptions, build_model
 from repro.compiler import CompileOptions, compile_from_front, parse_front
 from repro.ilp.solve import SolveOptions, solve_model
 from repro.serve import hint_key_for
+from repro.trace import nearest_rank
 
 from benchmarks.conftest import APP_BUILDERS, print_table
 
@@ -46,18 +47,6 @@ WARM_REQUESTS = 30
 
 #: the tentpole's acceptance floor: served warm hit vs cold in-process.
 MIN_WARM_SPEEDUP = 10.0
-
-#: the race may cost at most this factor over its faster engine, plus a
-#: constant slack absorbing thread spin-up on sub-second solves.
-RACE_OVERHEAD_FACTOR = 1.10
-RACE_OVERHEAD_SLACK_S = 0.5
-
-
-def _percentile(sorted_values, pct):
-    import math
-
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
 
 
 # --------------------------------------------------------------------------
@@ -107,12 +96,12 @@ def _measure_serving(tmp_path):
                 body = client.compile_source(source, name)
                 warm.append((time.perf_counter() - start) * 1000)
                 assert body["cache"] == "hot"
-            warm.sort()
+            p50 = nearest_rank(warm, 50)
             results[name] = {
                 "cold_inprocess_ms": round(cold_ms, 3),
-                "warm_p50_ms": round(_percentile(warm, 50), 3),
-                "warm_p95_ms": round(_percentile(warm, 95), 3),
-                "speedup_p50": round(cold_ms / _percentile(warm, 50), 1),
+                "warm_p50_ms": round(p50, 3),
+                "warm_p95_ms": round(nearest_rank(warm, 95), 3),
+                "speedup_p50": round(cold_ms / p50, 1),
             }
         client.shutdown()
     thread.join(timeout=30)
@@ -120,7 +109,7 @@ def _measure_serving(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Claim 2: the portfolio race on the Figure 5-7 applications
+# Claim 2: warm vs cold HiGHS on the Figure 5-7 applications
 # --------------------------------------------------------------------------
 
 
@@ -139,37 +128,37 @@ def _timed_solve(model, solve_options):
     return solution, time.perf_counter() - start
 
 
-def _measure_portfolio(tmp_path):
+def _measure_warm_start(tmp_path):
     results = {}
     for name in APP_BUILDERS:
         app, am = _build_alloc_model(name)
-        am.model.standard_form()  # pre-warm the memo for every engine
+        am.model.standard_form()  # pre-warm the memo for every solve
 
-        _, highs_s = _timed_solve(am.model, SolveOptions(engine="highs"))
+        # The daemon's hint key for a default-options compile of the app.
+        hinted = SolveOptions(
+            hint_dir=str(tmp_path / "hints"),
+            hint_key=hint_key_for(app.source, CompileOptions()),
+        )
+        cold_solution, cold_s = _timed_solve(am.model, hinted)
+        warm_solution, warm_s = _timed_solve(am.model, hinted)
         # bnb alone rarely finishes on paper-scale models; cap it so the
         # row records "how far it got", not an unbounded wait.
-        bnb_cap = max(10.0, 2.0 * highs_s)
+        bnb_cap = max(10.0, 2.0 * cold_s)
         bnb_solution, bnb_s = _timed_solve(
             am.model, SolveOptions(engine="bnb", time_limit=bnb_cap)
         )
 
-        hint_dir = tmp_path / "hints"
-        opts = CompileOptions()
-        key = hint_key_for(app.source, opts)
-        cold_opts = SolveOptions(
-            engine="portfolio", hint_dir=str(hint_dir), hint_key=key
-        )
-        cold_solution, cold_s = _timed_solve(am.model, cold_opts)
-        warm_solution, warm_s = _timed_solve(am.model, cold_opts)
-
         assert cold_solution.status == "optimal"
         assert warm_solution.status == "optimal"
+        # Both are optimal within the MIP gap, not necessarily equal.
+        assert warm_solution.objective == pytest.approx(
+            cold_solution.objective, rel=hinted.gap
+        )
         results[name] = {
-            "highs_s": round(highs_s, 3),
+            "cold_s": round(cold_s, 3),
+            "warm_s": round(warm_s, 3),
             "bnb_s": round(bnb_s, 3),
             "bnb_status": bnb_solution.status,
-            "portfolio_cold_s": round(cold_s, 3),
-            "portfolio_warm_s": round(warm_s, 3),
         }
     return results
 
@@ -179,49 +168,50 @@ def _measure_portfolio(tmp_path):
 # --------------------------------------------------------------------------
 
 
-def write_bench_file(serving, portfolio):
-    """Persist results; the baseline block is frozen once recorded."""
+def write_bench_file(serving, warm_start):
+    """Persist results; each baseline block is frozen once recorded."""
     data = {
         "meta": {
             "benchmark": "benchmarks/test_serve_latency.py",
             "units": {
                 "serving": "client round-trip ms vs in-process compile ms",
-                "portfolio": "wall seconds per allocation ILP solve",
+                "warm_start": "wall seconds per allocation ILP solve",
             },
             "timer": "time.perf_counter",
             "python": sys.version.split()[0],
         },
-        "results": {"serving": serving, "portfolio": portfolio},
+        "results": {"serving": serving, "warm_start": warm_start},
     }
-    baseline = None
+    baseline = {}
     if BENCH_FILE.exists():
         try:
-            baseline = json.loads(BENCH_FILE.read_text()).get("baseline")
+            baseline = json.loads(BENCH_FILE.read_text()).get("baseline") or {}
         except (OSError, ValueError):
-            baseline = None
-    data["baseline"] = baseline or {
-        "serving": {
+            baseline = {}
+    baseline.setdefault(
+        "serving",
+        {
             name: {
                 "warm_p50_ms": row["warm_p50_ms"],
                 "speedup_p50": row["speedup_p50"],
             }
             for name, row in serving.items()
         },
-        "portfolio": {
-            name: {
-                "highs_s": row["highs_s"],
-                "portfolio_cold_s": row["portfolio_cold_s"],
-                "portfolio_warm_s": row["portfolio_warm_s"],
-            }
-            for name, row in portfolio.items()
+    )
+    baseline.setdefault(
+        "warm_start",
+        {
+            name: {"cold_s": row["cold_s"], "warm_s": row["warm_s"]}
+            for name, row in warm_start.items()
         },
-    }
+    )
+    data["baseline"] = baseline
     BENCH_FILE.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_serve_latency_table(tmp_path):
     serving = _measure_serving(tmp_path)
-    portfolio = _measure_portfolio(tmp_path)
+    warm_start = _measure_warm_start(tmp_path)
 
     print_table(
         "novac serve: warm hit vs cold in-process compile",
@@ -238,31 +228,28 @@ def test_serve_latency_table(tmp_path):
         ],
     )
     print_table(
-        "solver portfolio: race vs single engines (allocation ILP)",
-        ["app", "highs s", "bnb s", "bnb status", "cold s", "warm s"],
+        "warm start: cold vs warm highs (allocation ILP)",
+        ["app", "cold s", "warm s", "bnb s", "bnb status"],
         [
             [
                 name,
-                row["highs_s"],
+                row["cold_s"],
+                row["warm_s"],
                 row["bnb_s"],
                 row["bnb_status"],
-                row["portfolio_cold_s"],
-                row["portfolio_warm_s"],
             ]
-            for name, row in portfolio.items()
+            for name, row in warm_start.items()
         ],
     )
-    write_bench_file(serving, portfolio)
+    write_bench_file(serving, warm_start)
 
     for name, row in serving.items():
         assert row["speedup_p50"] >= MIN_WARM_SPEEDUP, (
             f"{name}: warm hit only {row['speedup_p50']}x faster than a "
             f"cold in-process compile"
         )
-    for name, row in portfolio.items():
-        fastest = min(row["highs_s"], row["bnb_s"])
-        budget = fastest * RACE_OVERHEAD_FACTOR + RACE_OVERHEAD_SLACK_S
-        assert row["portfolio_cold_s"] <= budget, (
-            f"{name}: portfolio took {row['portfolio_cold_s']}s, over the "
-            f"{budget:.2f}s race budget (fastest engine {fastest}s)"
+    for name, row in warm_start.items():
+        assert row["warm_s"] <= row["cold_s"], (
+            f"{name}: warm-started solve took {row['warm_s']}s, slower "
+            f"than the cold solve's {row['cold_s']}s"
         )

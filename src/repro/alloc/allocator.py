@@ -19,14 +19,13 @@ there, and the ablation suites depend on the diagnosis.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocError
 from repro.ixp.banks import Bank
 from repro.ixp.flowgraph import FlowGraph
-from repro.ilp.solve import SolveOptions, solve_model
+from repro.ilp.solve import SolveOptions, check_engine, solve_model
 from repro.trace import ensure
 from repro.alloc import abcolor, decode as decode_mod
 from repro.alloc.ilpmodel import (
@@ -85,15 +84,6 @@ class AllocResult:
         }
 
 
-def _usable(solution) -> bool:
-    """An optimal solve, or a timeout that still carries an incumbent."""
-    if solution is None:
-        return False
-    if solution.status == "optimal":
-        return True
-    return solution.status == "timeout" and math.isfinite(solution.objective)
-
-
 def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
     """Solve ``model`` through the engine chain.
 
@@ -113,12 +103,11 @@ def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
     solution, crash = run(options.solve)
     if solution is not None and solution.status == "infeasible":
         raise AllocError(f"allocation ILP is infeasible{suffix}")
-    if _usable(solution):
+    if solution is not None and solution.usable:
         return solution, None
     reason = crash if crash else f"status={solution.status}"
-    # No point retrying bnb when it was the primary engine — or when the
-    # portfolio already raced it against highs and both lost.
-    if not options.fallback or options.solve.engine in ("bnb", "portfolio"):
+    # No point retrying bnb when it was the primary engine.
+    if not options.fallback or options.solve.engine == "bnb":
         return None, reason
     retry_options = replace(
         options.solve, engine="bnb", time_limit=options.fallback_time_limit
@@ -127,7 +116,7 @@ def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
         retry, crash = run(retry_options)
     if retry is not None and retry.status == "infeasible":
         raise AllocError(f"allocation ILP is infeasible{suffix}")
-    if _usable(retry):
+    if retry is not None and retry.usable:
         return retry, "bnb"
     return None, crash if crash else f"status={retry.status}"
 
@@ -147,6 +136,9 @@ def allocate(
     transform the graph or mutate the model's objective.
     """
     options = options or AllocOptions()
+    # A misconfigured engine is an error, not a solver failure to fall
+    # back from.
+    check_engine(options.solve.engine)
     tracer = ensure(tracer)
     if options.model.remat_constants:
         from repro.alloc.remat import lift_constants

@@ -18,6 +18,7 @@ single pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,6 +222,13 @@ class Solution:
     #: final relative MIP gap (0.0 when proved optimal with no slack;
     #: ``inf`` when no incumbent was found).
     gap: float = 0.0
+
+    @property
+    def usable(self) -> bool:
+        """Optimal, or a timeout that still carries an incumbent."""
+        return self.status == "optimal" or (
+            self.status == "timeout" and math.isfinite(self.objective)
+        )
 
     def value(self, var: int) -> float:
         return float(self.values[var])

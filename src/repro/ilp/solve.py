@@ -14,6 +14,13 @@ Both report the two timings Figure 7 tabulates: the *root relaxation*
 solve when someone will read the number — a tracer is active or
 :attr:`SolveOptions.root_relaxation` is set — since ``milp`` does not
 report it and the extra solve is pure measurement overhead otherwise.
+
+Warm starts: when :attr:`SolveOptions.hint_dir` and ``hint_key`` are
+set, :func:`solve_model` looks up a prior solution in a
+:class:`~repro.ilp.hints.HintStore`, validates it against the model,
+and hands it to the engine — ``highs`` as an objective-bound cut,
+``bnb`` as its starting incumbent — then records every usable result
+for the next solve.
 """
 
 from __future__ import annotations
@@ -25,13 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize, sparse
 
+from repro.ilp.hints import HintStore, hint_incumbent
 from repro.ilp.model import Model, Solution
 from repro.trace import ensure
+
+#: The solver engines :func:`solve_model` accepts.
+ENGINES = ("highs", "bnb")
 
 
 @dataclass
 class SolveOptions:
-    engine: str = "highs"  # 'highs' | 'bnb' | 'portfolio'
+    engine: str = "highs"  # one of ENGINES
     time_limit: float | None = 600.0
     gap: float = 1e-4  # CPLEX-style relative MIP gap (paper: 0.01%)
     node_limit: int = 200_000
@@ -39,11 +50,12 @@ class SolveOptions:
     #: even when no tracer is active (the ``bnb`` engine gets it for free
     #: from its first node; ``highs`` needs the extra solve).
     root_relaxation: bool = False
-    #: Warm-start hint store (``engine="portfolio"``): directory of prior
+    #: Warm-start hint store, for any engine: directory of prior
     #: solutions and the key of the nearest prior model (the compile
     #: daemon uses the front-end fingerprint, so allocator-knob-only
-    #: variants share one incumbent).  Runtime plumbing, not part of the
-    #: problem statement — excluded from cache fingerprints.
+    #: variants share one incumbent).  Both must be set for a warm start.
+    #: Runtime plumbing, not part of the problem statement — excluded
+    #: from cache fingerprints.
     hint_dir: str | None = field(
         default=None, metadata={"fingerprint": False}
     )
@@ -105,22 +117,33 @@ def _eq_matrix(matrix, lb, ub):
     return matrix[eq_rows], ub[eq_rows]
 
 
+def check_engine(engine: str) -> None:
+    """Raise :class:`ValueError` unless ``engine`` is in :data:`ENGINES`."""
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown solver engine {engine!r}; "
+            f"expected one of {', '.join(ENGINES)}"
+        )
+
+
 def solve_model(
     model: Model, options: SolveOptions | None = None, tracer=None
 ) -> Solution:
     options = options or SolveOptions()
+    check_engine(options.engine)
     tracer = ensure(tracer)
     if model.num_vars == 0:
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
-    if options.engine == "portfolio":
-        from repro.ilp.portfolio import solve_portfolio
-
-        return solve_portfolio(model, options, tracer)
     with tracer.span("solve", engine=options.engine) as sp:
+        store, warm = _warm_start(model, options, tracer)
         if options.engine == "bnb":
-            solution = _solve_bnb(model, options)
+            solution = _solve_bnb(model, options, incumbent=warm)
         else:
-            solution = _solve_highs(model, options, tracer)
+            solution = _solve_highs(
+                model, options, tracer, upper_bound=warm[0] if warm else None
+            )
+        if store is not None and solution.usable:
+            store.save(options.hint_key, model, solution)
         if sp:
             sp.add(
                 rows=len(model.constraints),
@@ -134,6 +157,34 @@ def solve_model(
                 gap=float(solution.gap),
             )
     return solution
+
+
+def _warm_start(model: Model, options: SolveOptions, tracer):
+    """Look up and validate a warm-start hint; (store, incumbent|None).
+
+    Both are None unless ``options`` names a hint store and key.  The
+    span keeps its historical ``portfolio.warm_start`` name, which
+    existing trace consumers read.
+    """
+    if not options.hint_dir or not options.hint_key:
+        return None, None
+    store = HintStore(options.hint_dir)
+    with tracer.span(
+        "portfolio.warm_start", key=options.hint_key[:12]
+    ) as sp:
+        hint = store.load(options.hint_key)
+        warm = hint_incumbent(model, hint) if hint is not None else None
+        if hint is None:
+            outcome = "none"
+        elif warm is None:
+            outcome = "stale"  # structurally incompatible or infeasible
+        else:
+            outcome = "seeded"
+        if sp:
+            sp.add(outcome=outcome)
+            if warm is not None:
+                sp.add(incumbent=warm[0])
+    return store, warm
 
 
 #: :func:`scipy.optimize.milp` status codes → :class:`Solution` statuses
@@ -237,7 +288,6 @@ def _solve_bnb(
     model: Model,
     options: SolveOptions,
     incumbent: tuple[float, np.ndarray] | None = None,
-    cancel=None,
 ) -> Solution:
     """Depth-first branch-and-bound with best-bound pruning.
 
@@ -255,10 +305,6 @@ def _solve_bnb(
     against *this* model): the initial upper bound prunes from node one,
     and when the root LP bound already proves the incumbent within the
     gap the search terminates after a single LP solve.
-
-    ``cancel`` is an argumentless callable polled once per node; when it
-    returns true the search stops with status ``"cancelled"`` (the
-    portfolio uses it to stop the losing racer).
     """
     c, matrix, lb, ub = model.standard_form()
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
@@ -299,9 +345,6 @@ def _solve_bnb(
         (np.zeros(n), np.ones(n), -math.inf)
     ]
     while stack:
-        if cancel is not None and cancel():
-            status = "cancelled"
-            break
         # ``is not None``: a budget of 0.0 means "stop immediately", not
         # "run forever" (falsiness would drop the check entirely).
         if (

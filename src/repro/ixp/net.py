@@ -68,13 +68,12 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from repro.errors import SimulatorError
 from repro.ixp.machine import CLOCK_MHZ, SIM_MODES, Machine, hash48
 from repro.ixp.memory import MemorySystem
-from repro.trace import ensure, log2_bound
+from repro.trace import ensure, log2_bound, nearest_rank
 
 #: event kinds on the global heap (tie-broken by sequence number).
 _EV_ARRIVE, _EV_WORKER, _EV_SINK, _EV_PUSH = 0, 1, 2, 3
@@ -304,29 +303,6 @@ class StreamResult:
             "tx_high_water": self.tx_high_water,
             "truncated": self.truncated,
         }
-
-
-def nearest_rank(latencies: list[int], p: float) -> int:
-    """Exact nearest-rank percentile over ``latencies``; -1 when empty.
-
-    Shared by :class:`StreamResult` and :class:`ShardedResult`.  The
-    rank ``ceil(n * p / 100)`` is evaluated over :class:`~fractions.
-    Fraction` (exact for both int and float ``p``), with ``p == 0``
-    pinned to the minimum — the old ``max(1, ...)`` clamp silently
-    aliased p=0 onto rank 1, and float multiplication could drift the
-    floor-division across a rank boundary.
-    """
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if not latencies:
-        return -1
-    ordered = sorted(latencies)
-    if p == 0:
-        return ordered[0]
-    n = len(ordered)
-    scaled = Fraction(p) * n  # exact: Fraction(float) has no rounding
-    rank = -(-scaled.numerator // (scaled.denominator * 100))  # ceil
-    return ordered[min(n, rank) - 1]
 
 
 def capture_trace(result: StreamResult) -> tuple[TraceEvent, ...]:

@@ -20,9 +20,11 @@ Responses always carry ``ok`` (bool) and echo ``op`` and any ``id``;
 failures carry ``error: {kind, message, location}``.
 
 Options travel as a *sparse* nested dict: only the knobs the client
-explicitly set (:func:`options_to_wire` diffs against the defaults), so
-the daemon can apply its own defaults — e.g. the portfolio solver — to
-everything the client left unsaid.
+explicitly set (:func:`options_to_wire` diffs against the defaults);
+everything the client left unsaid takes the same default an in-process
+compile would, so daemon and in-process compiles share cache keys.  The
+daemon only adds the fingerprint-excluded warm-start fields
+(``hint_dir``/``hint_key``), which the wire therefore never carries.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import json
 from repro.alloc.allocator import AllocOptions
 from repro.alloc.ilpmodel import ModelOptions
 from repro.compiler import CompileOptions
-from repro.ilp.solve import SolveOptions
+from repro.ilp.solve import ENGINES, SolveOptions
 
 #: One request or response line may not exceed this (64 MiB): big enough
 #: for any real source file or listing, small enough to bound memory.
@@ -100,12 +102,19 @@ def _diff(value, default):
 def options_from_wire(data: dict | None) -> CompileOptions:
     """Rebuild a :class:`CompileOptions` tree from a sparse wire dict.
 
-    Unknown keys, server-only keys, and type mismatches raise
-    :class:`ProtocolError` — a daemon must never apply half-understood
-    options (the cache key would cover settings that took no effect).
+    Unknown keys, server-only keys, type mismatches and unknown solver
+    engines raise :class:`ProtocolError` — a daemon must never apply
+    half-understood options (the cache key would cover settings that
+    took no effect).
     """
     options = CompileOptions()
     _apply(options, data or {}, "options")
+    engine = options.alloc.solve.engine
+    if engine not in ENGINES:
+        raise ProtocolError(
+            f"options.alloc.solve.engine must be one of {ENGINES}, "
+            f"got {engine!r}"
+        )
     return options
 
 

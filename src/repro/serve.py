@@ -4,8 +4,8 @@ One long-lived process owns what every ad-hoc ``novac`` invocation pays
 for from scratch: a shared :class:`repro.cache.CompileCache`, a warm
 :class:`~concurrent.futures.ProcessPoolExecutor` of compile workers
 (imports and scipy already loaded), a hot in-memory LRU of rendered
-responses, and the :class:`repro.ilp.portfolio.HintStore` that
-warm-starts the solver portfolio on cache misses.
+responses, and the :class:`repro.ilp.hints.HintStore` that warm-starts
+the allocation ILP on cache misses.
 
 The daemon is a stdlib-``asyncio`` socket server speaking the
 newline-JSON protocol of :mod:`repro.proto` over a Unix socket (or TCP
@@ -13,18 +13,16 @@ for tests/containers).  A compile request walks three tiers::
 
     hot LRU (rendered response, sub-ms)
       → disk cache (unpickle an artifact, a few ms)
-        → worker pool (full compile; allocation runs the solver
-          portfolio, warm-started from the nearest prior solution)
+        → worker pool (full compile; the allocation ILP is
+          warm-started from the nearest prior solution)
 
-Policy the daemon adds on top of the client's sparse options:
-
-- When the client did not explicitly pick a solver engine, allocation
-  runs ``engine="portfolio"`` (``highs`` and ``bnb`` race; see
-  :mod:`repro.ilp.portfolio`).
-- Portfolio solves get ``hint_dir`` under the cache directory and a
-  ``hint_key`` derived from the *front-end* fingerprint + source, so
-  allocator-knob-only variants of one program share one incumbent.
-  Both fields are fingerprint-excluded — they never change cache keys.
+The one thing the daemon adds to the client's sparse options: allocator
+compiles get ``hint_dir`` under the cache directory and a ``hint_key``
+derived from the *front-end* fingerprint + source, so allocator-knob-only
+variants of one program share one incumbent.  Both fields are
+fingerprint-excluded, so a daemon's cache keys equal in-process ones and
+the two share one disk cache.  The solver engine is the client's (or the
+default ``highs``).
 
 Failure model: a compile error is a structured per-request failure,
 never a daemon exit.  A killed pool worker breaks the whole
@@ -41,7 +39,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import hashlib
-import math
 import multiprocessing
 import os
 import sys
@@ -64,7 +61,7 @@ from repro.proto import (
     error_response,
     options_from_wire,
 )
-from repro.trace import Tracer
+from repro.trace import Tracer, nearest_rank
 
 
 @dataclass
@@ -78,9 +75,6 @@ class ServeConfig:
     jobs: int = 0  # 0 = default_jobs()
     #: rendered responses kept in the in-memory hot tier.
     hot_entries: int = 64
-    #: default cache-miss solves to the highs+bnb race (clients that set
-    #: an engine explicitly are left alone).
-    portfolio: bool = True
 
     def endpoint(self) -> str:
         if self.socket:
@@ -93,7 +87,7 @@ def hint_key_for(source: str, options: CompileOptions) -> str:
 
     Deliberately coarser than :func:`repro.cache.cache_key` — two option
     points differing only in allocator knobs hash identically, so a
-    solution found under one seeds the portfolio under the other.
+    solution found under one warm-starts the solve under the other.
     """
     digest = hashlib.sha256()
     digest.update(frontend_fingerprint(options).encode())
@@ -197,14 +191,6 @@ def _worker_pid() -> int:
 # --------------------------------------------------------------------------
 
 
-def _nearest_rank(sorted_values: list[float], pct: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0 if empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(pct / 100.0 * len(sorted_values)))
-    return sorted_values[rank - 1]
-
-
 class Metrics:
     """Request counters + a bounded latency reservoir (per client/global)."""
 
@@ -226,14 +212,16 @@ class Metrics:
             self.misses += 1
 
     def snapshot(self) -> dict:
-        ordered = sorted(self.latencies_ms)
+        # Sorted once here, so nearest_rank's own sort is a linear pass;
+        # an empty reservoir reads 0.0.
+        ordered = sorted(self.latencies_ms) or [0.0]
         return {
             "requests": self.requests,
             "hits": self.hits,
             "misses": self.misses,
             "errors": self.errors,
-            "p50_ms": round(_nearest_rank(ordered, 50), 3),
-            "p95_ms": round(_nearest_rank(ordered, 95), 3),
+            "p50_ms": round(nearest_rank(ordered, 50), 3),
+            "p95_ms": round(nearest_rank(ordered, 95), 3),
         }
 
 
@@ -410,17 +398,9 @@ class CompileServer:
     # -- compile -------------------------------------------------------------
 
     def _resolve_options(self, request: dict) -> CompileOptions:
-        """Client's sparse options + the daemon's solver policy."""
-        wire = request.get("options") or {}
-        options = options_from_wire(wire)
-        engine_explicit = "engine" in (wire.get("alloc") or {}).get("solve", {})
-        if (
-            self.config.portfolio
-            and options.run_allocator
-            and not engine_explicit
-        ):
-            options.alloc.solve.engine = "portfolio"
-        if options.alloc.solve.engine == "portfolio":
+        """Client's sparse options + the warm-start hint for allocation."""
+        options = options_from_wire(request.get("options"))
+        if options.run_allocator:
             source = request.get("source") or ""
             options.alloc.solve.hint_dir = str(self.hint_dir)
             options.alloc.solve.hint_key = hint_key_for(source, options)
@@ -665,10 +645,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--hot", type=int, default=64, metavar="N",
         help="rendered responses kept in memory (default 64)",
     )
-    parser.add_argument(
-        "--no-portfolio", action="store_true",
-        help="keep the client's solver engine instead of racing highs+bnb",
-    )
     args = parser.parse_args(argv)
     if not args.socket and args.port is None:
         parser.error("one of --socket or --port is required")
@@ -679,7 +655,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         hot_entries=args.hot,
-        portfolio=not args.no_portfolio,
     )
     try:
         asyncio.run(CompileServer(config).run())

@@ -34,6 +34,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 
 @dataclass
@@ -97,6 +98,30 @@ def log2_bound(value: float) -> int:
     while bound < value:
         bound <<= 1
     return bound
+
+
+def nearest_rank(values: list, p: float):
+    """Exact nearest-rank percentile of ``values``; -1 when empty.
+
+    The one percentile definition of the package (stream latencies in
+    :mod:`repro.ixp.net`, request latencies in :mod:`repro.serve`).  The
+    rank ``ceil(n * p / 100)`` is evaluated over
+    :class:`~fractions.Fraction` (exact for both int and float ``p``),
+    with ``p == 0`` pinned to the minimum — a ``max(1, ...)`` clamp
+    would silently alias p=0 onto rank 1, and float multiplication can
+    drift the floor-division across a rank boundary.
+    """
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {p}")
+    if not values:
+        return -1
+    ordered = sorted(values)
+    if p == 0:
+        return ordered[0]
+    n = len(ordered)
+    scaled = Fraction(p) * n  # exact: Fraction(float) has no rounding
+    rank = -(-scaled.numerator // (scaled.denominator * 100))  # ceil
+    return ordered[min(n, rank) - 1]
 
 
 class SpanHandle:

@@ -98,9 +98,9 @@ def test_unfingerprintable_option_raises_naming_the_field():
 
 
 def test_hint_fields_are_fingerprint_excluded():
-    # hint_dir/hint_key are runtime plumbing for the solver portfolio,
-    # not part of the problem statement: the daemon sets them on every
-    # request and cached artifacts must still hit.
+    # hint_dir/hint_key are runtime plumbing for warm starts, not part
+    # of the problem statement: the daemon sets them on every allocator
+    # compile and cached artifacts must still hit.
     plain = CompileOptions()
     hinted = CompileOptions()
     hinted.alloc.solve.hint_dir = "/anywhere/hints"

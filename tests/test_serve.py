@@ -1,16 +1,19 @@
 """The compile daemon (`repro.serve`), client, and wire protocol."""
 
 import asyncio
+import math
 import threading
 import time
 
 import pytest
 
 from repro import cli
+from repro.cache import CompileCache, cached_compile
 from repro.client import ServeClient, ServeError, parse_endpoint, try_connect
 from repro.compiler import CompileOptions, compile_nova
 from repro.proto import ProtocolError, options_from_wire, options_to_wire
-from repro.serve import CompileServer, ServeConfig
+from repro.serve import CompileServer, Metrics, ServeConfig
+from repro.trace import nearest_rank
 
 GOOD = """
 layout h = { a : 8, b : 24 };
@@ -86,6 +89,14 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="server-side only"):
             options_from_wire({"alloc": {"solve": {"hint_dir": "/x"}}})
 
+    @pytest.mark.parametrize("engine", ["higs", "portfolio"])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ProtocolError, match="engine must be one of"):
+            options_from_wire({"alloc": {"solve": {"engine": engine}}})
+        assert options_from_wire(
+            {"alloc": {"solve": {"engine": "bnb"}}}
+        ).alloc.solve.engine == "bnb"
+
     def test_parse_endpoint(self):
         assert parse_endpoint("/tmp/d.sock") == ("unix", "/tmp/d.sock")
         assert parse_endpoint("d.sock") == ("unix", "d.sock")
@@ -103,11 +114,10 @@ class TestCompileTiers:
             second = client.compile_source(GOOD)
             assert first["cache"] == "miss"
             assert second["cache"] == "hot"
-            # The portfolio may land on a different (equally optimal)
-            # assignment than a local highs solve, so compare shape, and
-            # require the hot tier to replay the miss byte-identically.
+            # A cold miss runs the same highs solve as a local compile;
+            # the hot tier replays the miss byte-identically.
             assert first["payload"] == second["payload"]
-            assert "halt" in first["payload"]
+            assert first["payload"] == local.physical.pretty()
             assert (
                 first["summary"]["instructions"]
                 == local.flowgraph.num_instructions()
@@ -137,11 +147,35 @@ class TestCompileTiers:
             # Same connection keeps working after a failed unit.
             assert client.compile_source(GOOD)["ok"] is True
 
-    def test_cache_miss_defaults_to_portfolio_with_hints(self, server, tmp_path):
+    def test_cache_miss_records_a_hint(self, server, tmp_path):
         with ServeClient.connect(server.socket) as client:
             client.compile_source(GOOD)
         hints = list((tmp_path / "cache" / "hints").rglob("*.json"))
-        assert hints, "portfolio solve should have recorded a hint"
+        assert hints, "the miss's solve should have recorded a hint"
+
+    def test_knob_variant_miss_is_warm_started_highs(self, server):
+        variant = CompileOptions()
+        variant.alloc.solve.gap = 1e-3
+        with ServeClient.connect(server.socket) as client:
+            client.compile_source(GOOD)
+            body = client.compile_source(GOOD, options=variant, trace=True)
+        assert body["cache"] == "miss"
+        spans = {sp["name"]: sp for sp in body["spans"]}
+        lookup = spans["portfolio.warm_start"]
+        assert lookup["parent"] == "solve"
+        assert lookup["counters"]["outcome"] == "seeded"
+        assert spans["solve"]["counters"]["engine"] == "highs"
+        local = compile_nova(GOOD, options=variant)
+        assert body["summary"]["alloc"]["moves"] == local.alloc.moves
+
+    def test_daemon_shares_the_in_process_disk_cache(self, server):
+        # The daemon adds only fingerprint-excluded hint fields to the
+        # options, so an artifact cached in-process is a daemon hit.
+        cache = CompileCache(server.cache_dir)
+        _, state = cached_compile(GOOD2, "<remote>", CompileOptions(), cache)
+        assert state == "miss"
+        with ServeClient.connect(server.socket) as client:
+            assert client.compile_source(GOOD2)["cache"] == "hit"
 
     def test_batch_mixes_outcomes(self, server):
         with ServeClient.connect(server.socket) as client:
@@ -196,6 +230,25 @@ class TestOperations:
         body = done["body"]
         assert body["ok"] or body["error"]["kind"] == "Draining"
         assert try_connect(server.socket, timeout=1.0) is None
+
+
+def test_metrics_percentiles_keep_their_values():
+    assert Metrics().snapshot()["p50_ms"] == 0.0
+    assert Metrics().snapshot()["p95_ms"] == 0.0
+    # At the two percentiles the daemon reports, the exact nearest rank
+    # equals the float rank max(1, ceil(p / 100 * n)) for every size of
+    # its 4096-entry latency reservoir.
+    data = list(range(4096))
+    for n in range(1, len(data) + 1):
+        for p in (50, 95):
+            assert nearest_rank(data[:n], p) + 1 == max(
+                1, math.ceil(p / 100.0 * n)
+            )
+    metrics = Metrics()
+    for ms in (5.0, 1.0, 4.0, 2.0, 3.0):
+        metrics.record(ms, "hot", True)
+    snapshot = metrics.snapshot()
+    assert (snapshot["p50_ms"], snapshot["p95_ms"]) == (3.0, 5.0)
 
 
 class TestClientFallback:
