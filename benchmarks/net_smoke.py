@@ -49,14 +49,9 @@ SCALING_SLACK = 0.5
 
 def live_chip_smoke(failures: list) -> None:
     """Stream a seeded NAT backlog through the paper's 6x4 topology."""
-    from repro.compiler import CompileOptions, compile_nova
-    from repro.ixp.net import NetConfig, run_stream, stream_app
+    from repro.ixp.net import NetConfig, compile_app, run_stream, stream_app
 
-    from repro.apps import build_nat_app
-
-    options = CompileOptions()
-    options.run_allocator = False  # virtual: fast, deterministic
-    comp = compile_nova(build_nat_app().source, "nat.nova", options)
+    comp = compile_app("nat", virtual=True)  # virtual: fast, deterministic
     config = NetConfig(
         engines=6, threads=4, packets=48, seed=11, arrival="backlog",
         rx_capacity=52, tx_capacity=16,

@@ -8,8 +8,9 @@ that file in CI and fails on pathological regressions.
 
 Methodology: ten short warmup runs per tier (populates the codegen
 cache *and* lets CPython 3.11 specialize the generated code — code
-objects quicken only after ~8 calls, and the compiled tier's whole-run
-loop is called once per run), then interleaved timed runs of 40 packets
+objects quicken only after ~8 calls, and every Machine's bound slice
+function shares the graph's one code object, so the specialization
+carries into the timed runs), then interleaved timed runs of 40 packets
 per thread on 4 threads, best of ``TIMED_REPS`` per tier.  Timing uses
 ``time.process_time`` so CPU steal on shared hosts cannot distort the
 ratio.  Instructions executed are identical across tiers (codegen is

@@ -67,7 +67,6 @@ class AllocResult:
     moves: int
     spills: int
     status: str
-    two_phase_seconds: float | None = None
     #: Which fallback stage produced this result (``"bnb"`` /
     #: ``"baseline"``), or None when the primary solver succeeded.
     fallback: str | None = None
@@ -202,9 +201,7 @@ def _degrade_to_baseline(
     )
 
 
-def _finish(
-    graph, am, solution, options, two_phase_seconds=None, fallback=None
-) -> AllocResult:
+def _finish(graph, am, solution, options, fallback=None) -> AllocResult:
     alloc = extract_solution(am, solution)
     ab = abcolor.assign_ab_registers(
         graph, alloc.banks_before, alloc.banks_after, am.clone_rep
@@ -225,7 +222,6 @@ def _finish(
         moves=alloc.move_count,
         spills=alloc.spills,
         status=solution.status,
-        two_phase_seconds=two_phase_seconds,
         fallback=fallback,
     )
 
@@ -234,7 +230,6 @@ def _allocate_two_phase(
     graph: FlowGraph, options: AllocOptions, tracer
 ) -> AllocResult:
     """Phase 1: are spills needed at all?  Phase 2: solve without M."""
-    start = time.perf_counter()
     am1 = build_model(graph, options.model, tracer)
     # Replace the objective: one unit per move into the M bank.
     am1.model.objective = {}
@@ -244,7 +239,6 @@ def _allocate_two_phase(
             spill_obj[var] = 1.0
     am1.model.minimize(spill_obj)
     phase1, downgraded1 = _solve_chain(am1.model, options, tracer, "phase 1")
-    phase1_seconds = time.perf_counter() - start
     if phase1 is None:
         return _degrade_to_baseline(graph, options, tracer, downgraded1)
     needs_spills = phase1.objective > 0.5
@@ -254,11 +248,4 @@ def _allocate_two_phase(
     solution, downgraded2 = _solve_chain(am2.model, options, tracer, "phase 2")
     if solution is None:
         return _degrade_to_baseline(graph, options, tracer, downgraded2)
-    return _finish(
-        graph,
-        am2,
-        solution,
-        options,
-        two_phase_seconds=phase1_seconds,
-        fallback=downgraded2,
-    )
+    return _finish(graph, am2, solution, options, fallback=downgraded2)

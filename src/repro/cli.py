@@ -19,6 +19,11 @@ With more than one source file ``novac`` switches to batch mode: every
 file is compiled (failures don't stop the rest), a one-line outcome per
 file plus a job summary is printed, and the exit status is 1 iff any
 unit failed.  ``--cache-dir`` also works for single compiles.
+
+``novac pump`` lives here too (:func:`pump_main`); the streaming
+runtime it drives is :mod:`repro.ixp.net`.  ``fuzz``, ``serve`` and
+``client`` parse their own options in :mod:`repro.fuzz.driver`,
+:mod:`repro.serve` and :mod:`repro.client`.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.compiler import CompileOptions, compile_nova
+from repro.cache import CompileCache, cached_compile
+from repro.compiler import CompileOptions
 from repro.cps import ir
 from repro.errors import NovaError
-from repro.trace import Tracer
+from repro.trace import Tracer, emit_trace
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,8 +46,6 @@ def main(argv: list[str] | None = None) -> int:
 
         return fuzz_main(argv[1:])
     if argv and argv[0] == "pump":
-        from repro.ixp.net import pump_main
-
         return pump_main(argv[1:])
     if argv and argv[0] == "serve":
         from repro.serve import serve_main
@@ -124,23 +128,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # --stats reports this run's top-level spans: the compiler's only clock.
     tracer = (
-        Tracer() if (args.trace or args.trace_json is not None) else None
+        Tracer()
+        if (args.trace or args.stats or args.trace_json is not None)
+        else None
     )
     if len(args.sources) > 1:
         code = _batch_main(args, tracer)
     else:
         code = _single_main(args, tracer)
-    if tracer is not None:
-        if args.trace:
-            print(tracer.table())
-        if args.trace_json is not None:
-            try:
-                tracer.write_jsonl(args.trace_json)
-            except OSError as exc:
-                print(f"novac: {exc}", file=sys.stderr)
-                return 1
-    return code
+    return emit_trace(tracer, "novac", args.trace, args.trace_json) or code
 
 
 def _make_options(args) -> CompileOptions:
@@ -214,17 +212,15 @@ def _single_main(args, tracer) -> int:
             print(body["payload"], end="")
         return 0
 
-    options = _make_options(args)
+    cache = (
+        CompileCache(args.cache_dir, tracer)
+        if args.cache_dir is not None
+        else None
+    )
     try:
-        if args.cache_dir is not None:
-            from repro.cache import CompileCache, cached_compile
-
-            cache = CompileCache(args.cache_dir, tracer)
-            result, _ = cached_compile(
-                source, source_path, options, cache, tracer
-            )
-        else:
-            result = compile_nova(source, source_path, options, tracer=tracer)
+        result, _ = cached_compile(
+            source, source_path, _make_options(args), cache, tracer
+        )
     except NovaError as exc:
         # The spans recorded before the failing phase (parse, typecheck,
         # ...) still flush — main() renders/writes the tracer on every
@@ -355,8 +351,9 @@ def _render(result, args, tracer) -> int:
         )
         print(f"instructions: {result.flowgraph.num_instructions()}")
         print(f"temporaries: {len(result.flowgraph.temps())}")
-        for phase, seconds in result.phase_seconds.items():
-            print(f"  {phase:10s} {seconds * 1000:8.1f} ms")
+        for span in tracer.spans:
+            if span.depth == 0:
+                print(f"  {span.name:10s} {span.seconds * 1000:8.1f} ms")
         if result.alloc is not None:
             row = result.alloc.figure7_row()
             print(
@@ -420,6 +417,169 @@ def _run_program(result, args, tracer=None) -> int:
         f"{run.cycles} cycles ({microseconds:.2f} us at {CLOCK_MHZ} MHz), "
         f"{run.instructions} instructions"
     )
+    return 0
+
+
+def pump_main(argv: list[str]) -> int:
+    """``novac pump``: stream a Section 11 app through the whole chip."""
+    from repro.ixp.machine import SIM_MODES
+    from repro.ixp.net import ARRIVAL_MODES, STEER_MODES
+
+    parser = argparse.ArgumentParser(
+        prog="novac pump",
+        description="drive a Section 11 app with a synthetic packet stream",
+    )
+    parser.add_argument("--app", choices=("aes", "kasumi", "nat"), required=True)
+    parser.add_argument("--engines", type=int, default=6,
+                        help="micro-engines per chip (default 6, the paper's "
+                             "full chip)")
+    parser.add_argument("--threads", type=int, default=4)
+    parser.add_argument("--steer", choices=STEER_MODES, default="flow",
+                        help="dispatch policy: flow-hash or round-robin")
+    parser.add_argument("--chips", type=int, default=1,
+                        help="independent chips to shard across (default 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="process-pool workers for --chips > 1")
+    parser.add_argument("--packets", type=int, default=64)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rx", type=int, default=32, metavar="N",
+                        help="per-engine RX ring capacity (default 32)")
+    parser.add_argument("--tx", type=int, default=32, metavar="N",
+                        help="TX ring capacity (default 32)")
+    parser.add_argument("--arrival", choices=ARRIVAL_MODES,
+                        default="poisson")
+    parser.add_argument("--gap", type=float, default=64.0,
+                        help="mean cycles between bursts (default 64)")
+    parser.add_argument("--burst", type=int, default=1)
+    parser.add_argument("--sink-gap", type=int, default=0,
+                        help="cycles between TX drains (default 0 = line rate)")
+    parser.add_argument("--cycles", type=int, default=None,
+                        help="stop after this many cycles (default: packet budget)")
+    parser.add_argument("--payload-bytes", default=None, metavar="CSV",
+                        help="payload-size choices, e.g. 16,32,64")
+    parser.add_argument("--virtual", action="store_true",
+                        help="skip the ILP allocator (fast smoke runs)")
+    parser.add_argument("--sim-mode", choices=SIM_MODES, default="compiled",
+                        help="simulator tier for the engines: generated "
+                             "code (default) or the reference interpreter")
+    parser.add_argument("--cache-dir", metavar="DIR",
+                        help="content-addressed compile cache directory")
+    parser.add_argument("--trace", action="store_true",
+                        help="print the span table (includes net.* spans)")
+    parser.add_argument("--trace-json", metavar="FILE",
+                        help="write spans as JSON lines")
+    args = parser.parse_args(argv)
+
+    sizes = None
+    if args.payload_bytes:
+        sizes = tuple(int(piece, 0) for piece in args.payload_bytes.split(","))
+    tracer = Tracer() if (args.trace or args.trace_json) else None
+    code = _pump(args, sizes, tracer)
+    return emit_trace(tracer, "novac pump", args.trace, args.trace_json) or code
+
+
+def _pump(args, sizes, tracer) -> int:
+    """Compile and stream for :func:`pump_main`; returns the exit status
+    (the caller then renders the trace, whatever the outcome)."""
+    from repro.errors import SimulatorError
+    from repro.ixp.net import (
+        NetConfig,
+        compile_app,
+        run_sharded,
+        run_stream,
+        stream_app,
+    )
+
+    try:
+        comp = compile_app(args.app, args.virtual, args.cache_dir, tracer)
+    except NovaError as exc:
+        print(f"novac pump: {exc}", file=sys.stderr)
+        return 1
+
+    config = NetConfig(
+        engines=args.engines,
+        threads=args.threads,
+        rx_capacity=args.rx,
+        tx_capacity=args.tx,
+        packets=args.packets,
+        max_cycles=args.cycles,
+        seed=args.seed,
+        arrival=args.arrival,
+        mean_gap=args.gap,
+        burst=args.burst,
+        sink_gap=args.sink_gap,
+        steer=args.steer,
+        sim_mode=args.sim_mode,
+    )
+    mode = "virtual" if args.virtual else "physical"
+
+    if args.chips > 1:
+        # Multi-chip deployment: the compile above warmed the cache (if
+        # any), so pool workers recompile cheaply or hit the cache.
+        try:
+            sharded = run_sharded(
+                args.app,
+                config,
+                chips=args.chips,
+                sizes=sizes,
+                virtual=args.virtual,
+                cache_dir=args.cache_dir,
+                jobs=args.jobs,
+                tracer=tracer,
+            )
+        except (SimulatorError, ValueError) as exc:
+            print(f"novac pump: {exc}", file=sys.stderr)
+            return 1
+        summary = sharded.summary()
+        print(
+            f"pump {args.app} ({mode}, {args.sim_mode}, "
+            f"{args.chips} chips x {config.engines}x{config.threads})"
+        )
+        for key in (
+            "chips", "generated", "completed", "dropped", "inflight",
+            "mismatches", "cycles", "mbps", "latency_p50", "latency_p95",
+        ):
+            print(f"  {key:<14} {summary[key]}")
+        if sharded.mismatches:
+            print(
+                f"novac pump: {len(sharded.mismatches)} packets mismatched "
+                "the reference implementation",
+                file=sys.stderr,
+            )
+            return 1
+        return 0
+
+    try:
+        result = run_stream(stream_app(args.app, comp, sizes), config, tracer)
+    except (SimulatorError, ValueError) as exc:
+        print(f"novac pump: {exc}", file=sys.stderr)
+        return 1
+
+    summary = result.summary()
+    print(f"pump {args.app} ({mode}, {args.sim_mode})")
+    for key in (
+        "engines", "threads", "generated", "completed", "dropped",
+        "inflight", "mismatches", "cycles", "mbps", "latency_p50",
+        "latency_p95", "latency_max", "rx_high_water", "tx_high_water",
+    ):
+        print(f"  {key:<14} {summary[key]}")
+    if result.truncated:
+        print("  (truncated by --cycles budget)")
+    hist = result.latency_histogram()
+    if hist:
+        widest = max(hist.values())
+        print("  latency histogram (cycles):")
+        for bound, count in hist.items():
+            bar = "#" * max(1, round(count * 40 / widest))
+            print(f"    <= {bound:<10d} {count:>5d} {bar}")
+    if result.mismatches:
+        for mismatch in result.mismatches[:5]:
+            print(
+                f"novac pump: packet {mismatch['packet']} mismatched the "
+                "reference implementation",
+                file=sys.stderr,
+            )
+        return 1
     return 0
 
 

@@ -13,7 +13,6 @@ wraps the common path.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 from repro.nova import ast
@@ -118,7 +117,6 @@ class Compilation:
     flowgraph: FlowGraph
     alloc: AllocResult | None
     source_stats: SourceStats
-    phase_seconds: dict[str, float]
     #: the tracer the compile recorded spans on, when one was supplied
     #: (``None`` for untraced compiles; see :mod:`repro.trace`).
     trace: Tracer | None = None
@@ -200,15 +198,6 @@ class FrontEnd:
     cps: CpsProgram
     first_order: FirstOrderProgram
     source_stats: SourceStats
-    phase_seconds: dict[str, float]
-
-
-def _timed(tracer, times: dict[str, float], name: str, fn):
-    with tracer.span(name) as sp:
-        start = time.perf_counter()
-        result = fn()
-        times[name] = time.perf_counter() - start
-    return result, sp
 
 
 def parse_front(
@@ -216,13 +205,11 @@ def parse_front(
 ) -> FrontEnd:
     """Run the option-independent front half of the pipeline."""
     tracer = ensure(tracer)
-    times: dict[str, float] = {}
-    program, sp_parse = _timed(
-        tracer, times, "parse", lambda: parse_program(source, filename)
-    )
+    with tracer.span("parse") as sp:
+        program = parse_program(source, filename)
     source_stats = SourceStats.of(source, program)
-    if sp_parse:
-        sp_parse.add(
+    if sp:
+        sp.add(
             lines=source_stats.line_count,
             layouts=source_stats.layouts,
             packs=source_stats.packs,
@@ -230,20 +217,19 @@ def parse_front(
             raises=source_stats.raises,
             handles=source_stats.handles,
         )
-    typed, sp = _timed(
-        tracer, times, "typecheck", lambda: typecheck_program(program)
-    )
+    with tracer.span("typecheck") as sp:
+        typed = typecheck_program(program)
     if sp:
         sp.add(funs=len(program.funs), layouts=len(program.layouts))
-    cps, sp = _timed(tracer, times, "cps", lambda: cps_convert(typed))
+    with tracer.span("cps") as sp:
+        cps = cps_convert(typed)
     if sp:
         sp.add(
             funs=len(cps.funs),
             term_nodes=sum(ir.term_size(f.body) for f in cps.funs.values()),
         )
-    first_order, sp = _timed(
-        tracer, times, "deproc", lambda: deproceduralize(cps)
-    )
+    with tracer.span("deproc") as sp:
+        first_order = deproceduralize(cps)
     if sp:
         sp.add(term_nodes=ir.term_size(first_order.term))
     return FrontEnd(
@@ -254,7 +240,6 @@ def parse_front(
         cps=cps,
         first_order=first_order,
         source_stats=source_stats,
-        phase_seconds=times,
     )
 
 
@@ -271,18 +256,13 @@ def compile_from_front(
     """
     options = options or CompileOptions()
     tracer = ensure(tracer)
-    times = dict(front.phase_seconds)
     first_order = FirstOrderProgram(
         front.first_order.params,
         front.first_order.term,
         front.first_order.gensym.clone(),
     )
-    opt, sp = _timed(
-        tracer,
-        times,
-        "optimize",
-        lambda: optimize(first_order.term, options.optimizer_rounds),
-    )
+    with tracer.span("optimize") as sp:
+        opt = optimize(first_order.term, options.optimizer_rounds)
     if sp:
         sp.add(
             rounds=opt.stats.rounds,
@@ -293,8 +273,8 @@ def compile_from_front(
         first_order.params, opt.term, first_order.gensym
     )
     if options.run_ssu:
-        pair, sp = _timed(tracer, times, "ssu", lambda: to_ssu(optimized))
-        ssu, ssu_stats = pair
+        with tracer.span("ssu") as sp:
+            ssu, ssu_stats = to_ssu(optimized)
         assert check_ssu(ssu.term), "SSU transform failed its own invariant"
         if sp:
             sp.add(
@@ -304,7 +284,8 @@ def compile_from_front(
             )
     else:
         ssu, ssu_stats = optimized, SsuStats()
-    graph, sp = _timed(tracer, times, "select", lambda: select_instructions(ssu))
+    with tracer.span("select") as sp:
+        graph = select_instructions(ssu)
     if sp:
         sp.add(
             instructions=graph.num_instructions(),
@@ -313,12 +294,8 @@ def compile_from_front(
         )
     alloc = None
     if options.run_allocator:
-        alloc, sp = _timed(
-            tracer,
-            times,
-            "allocate",
-            lambda: allocate(graph, options.alloc, tracer),
-        )
+        with tracer.span("allocate") as sp:
+            alloc = allocate(graph, options.alloc, tracer)
         if sp:
             _add_alloc_counters(sp, alloc)
     return Compilation(
@@ -333,7 +310,6 @@ def compile_from_front(
         flowgraph=graph,
         alloc=alloc,
         source_stats=front.source_stats,
-        phase_seconds=times,
         trace=tracer if tracer.enabled else None,
     )
 
@@ -367,22 +343,12 @@ def allocate_compilation(
     and model options through to :func:`repro.alloc.allocator.allocate`.
     """
     tracer = ensure(tracer)
-    times = dict(comp.phase_seconds)
-    alloc, sp = _timed(
-        tracer,
-        times,
-        "allocate",
-        lambda: allocate(
-            comp.flowgraph, options.alloc, tracer, prebuilt=prebuilt
-        ),
-    )
+    with tracer.span("allocate") as sp:
+        alloc = allocate(comp.flowgraph, options.alloc, tracer, prebuilt=prebuilt)
     if sp:
         _add_alloc_counters(sp, alloc)
     return replace(
-        comp,
-        alloc=alloc,
-        phase_seconds=times,
-        trace=tracer if tracer.enabled else None,
+        comp, alloc=alloc, trace=tracer if tracer.enabled else None
     )
 
 
@@ -391,9 +357,10 @@ class Compiler:
 
     When ``tracer`` is a live :class:`repro.trace.Tracer`, each phase
     records a span carrying its wall time and IR-size counters (plus the
-    ILP model/solve sub-spans under ``allocate``); with the default null
-    tracer the only per-phase cost is the ``perf_counter`` pair that
-    also feeds :attr:`Compilation.phase_seconds`.
+    ILP model/solve sub-spans under ``allocate``); those spans are the
+    compiler's only clock, so with the default null tracer nothing is
+    timed.  Its command-line front end is ``novac`` (:mod:`repro.cli`,
+    also the home of ``novac pump``).
     """
 
     def __init__(

@@ -23,7 +23,7 @@ from repro.cache import CompileCache
 from repro.fuzz.gen import ALL_FEATURES, GenConfig, generate
 from repro.fuzz.oracle import check_generated, default_configs
 from repro.fuzz.shrink import shrink, write_artifact
-from repro.trace import Tracer, ensure
+from repro.trace import Tracer, emit_trace, ensure
 
 
 @dataclass
@@ -367,9 +367,5 @@ def fuzz_main(argv: list | None = None) -> int:
         f"{summary['skipped_configs']} config skips in "
         f"{summary['seconds']:.1f}s (jobs={summary['jobs']}{cache_note})"
     )
-    if tracer is not None:
-        if args.trace:
-            print(tracer.table())
-        if args.trace_json:
-            tracer.write_jsonl(args.trace_json)
-    return 1 if (result.failed or result.invalid) else 0
+    code = 1 if (result.failed or result.invalid) else 0
+    return emit_trace(tracer, "novac fuzz", args.trace, args.trace_json) or code

@@ -82,7 +82,7 @@ from repro.ixp.net import (
     trace_from_json,
     trace_to_json,
 )
-from repro.trace import Tracer, ensure
+from repro.trace import Tracer, emit_trace, ensure
 
 #: program features safe under the streaming runtime: no ``memory``
 #: (absolute SRAM/SDRAM/scratch addresses are shared across engines, so
@@ -996,13 +996,12 @@ def netfuzz_main(argv: list | None = None) -> int:
         f"{summary['probe_failures']} probe failures in "
         f"{summary['seconds']:.1f}s (jobs={summary['jobs']})"
     )
-    if tracer is not None:
-        if args.trace:
-            print(tracer.table())
-        if args.trace_json:
-            tracer.write_jsonl(args.trace_json)
-    return (
+    code = (
         1
         if (result.failed or result.invalid or result.probe_failures)
         else 0
+    )
+    return (
+        emit_trace(tracer, "novac fuzz --net", args.trace, args.trace_json)
+        or code
     )

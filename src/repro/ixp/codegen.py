@@ -50,7 +50,6 @@ variant carries zero tracing overhead).
 
 from __future__ import annotations
 
-import heapq
 import weakref
 
 from repro.errors import SimulatorError
@@ -114,21 +113,20 @@ class _CompiledGraph:
 
     ``bind(machine)`` resolves the machine-lifetime state the generated
     code touches (cycle budget, memory system, lock table, CSR file,
-    results list, histogram) into closure cells once, and returns a pair
-    ``(run_slice, run_loop)``: ``run_slice(thread, clock) -> clock``
-    runs one slice (the ``service()`` entry point), ``run_loop(ready,
-    clock) -> clock`` is ``Machine.run``'s whole scheduler loop with the
-    dispatch tree inlined (same segments, no per-slice call).  Machines
-    sharing a flowgraph share this object (and its generated code
-    objects); each ``bind`` call is just two closure allocations.  The
-    generated source itself is not kept, only its line count."""
+    results list, histogram) into closure cells once, and returns
+    ``run_slice(thread, clock) -> clock``, which runs one slice — the
+    entry point of both ``Machine.service`` and ``Machine.run``'s
+    scheduler loop.  Machines sharing a flowgraph share this object (and
+    its generated code object); each ``bind`` call is one closure
+    allocation.  The generated source itself is not kept, only its line
+    count."""
 
     __slots__ = ("bind", "instructions", "labels", "source_lines",
                  "physical", "instrumented")
 
     def __init__(self, bind, instructions, labels, source_lines, physical,
                  instrumented):
-        self.bind = bind  # bind(machine) -> (run_slice, run_loop)
+        self.bind = bind  # bind(machine) -> run_slice
         self.instructions = instructions
         self.labels = labels
         self.source_lines = source_lines
@@ -144,8 +142,6 @@ class _Codegen:
         self.globals: dict[str, object] = {
             "SimulatorError": SimulatorError,
             "hash48": hash48,
-            "heappush": heapq.heappush,
-            "heappop": heapq.heappop,
         }
         self._const_names: dict[object, str] = {}
         self._segments: list[list[str]] = []
@@ -1073,26 +1069,17 @@ class _Codegen:
         self.emit_range(block, index, end)
 
     def emit_dispatch(self, out: list[str], lo: int, hi: int,
-                      ind: int, exit_stmt: str = "return clock") -> None:
+                      ind: int) -> None:
         pad = "    " * ind
         if hi - lo == 1:
-            if exit_stmt == "return clock":
-                for line in self._segments[lo]:
-                    out.append(pad + line)
-            else:
-                # The master-loop variant reuses the same segment text
-                # with slice exits rewritten to ``break`` (out of the
-                # dispatch loop, into the scheduler's bookkeeping).
-                for line in self._segments[lo]:
-                    if line.endswith("return clock"):
-                        line = line[: -len("return clock")] + exit_stmt
-                    out.append(pad + line)
+            for line in self._segments[lo]:
+                out.append(pad + line)
             return
         mid = (lo + hi) // 2
         out.append(pad + f"if pc < {mid}:")
-        self.emit_dispatch(out, lo, mid, ind + 1, exit_stmt)
+        self.emit_dispatch(out, lo, mid, ind + 1)
         out.append(pad + "else:")
-        self.emit_dispatch(out, mid, hi, ind + 1, exit_stmt)
+        self.emit_dispatch(out, mid, hi, ind + 1)
 
     def generate(self) -> _CompiledGraph:
         graph = self.graph
@@ -1159,61 +1146,13 @@ class _Codegen:
         lines.append("        finally:")
         lines.append("            stats.instructions += icount")
         lines.append("    return _run_slice")
-        slice_lines = lines
-        # The master-loop variant: ``Machine.run``'s scheduler with the
-        # dispatch tree inlined, so a whole single-engine run is one
-        # generated call — no per-slice Python function call, which is a
-        # large share of a compiled slice's cost.  The segment text is
-        # shared with ``_run_slice`` (exits rewritten ``return clock`` →
-        # ``break``); the post-slice bookkeeping below replicates
-        # ``Machine.run``'s loop statement for statement, so scheduling
-        # order, budget checks and stall accounting stay identical.
-        # ``service()``-driven external schedulers (repro.ixp.net) keep
-        # using ``_run_slice``.
-        lines = ["def _bind_loop(machine):", *prologue]
-        lines.append("    def _run_loop(ready, clock):")
-        lines.append("        while ready:")
-        lines.append("            ready_at, tid, thread = heappop(ready)")
-        lines.append("            if ready_at > clock:")
-        lines.append("                clock = ready_at")
-        lines.append("            rv = thread.rv")
-        lines.append("            stats = thread.stats")
-        lines.append("            icount = 0")
-        lines.append("            pc = thread.cpc")
-        lines.append("            try:")
-        lines.append("                while True:")
-        self.emit_dispatch(lines, 0, len(self._segments), 5, "break")
-        lines.append("            finally:")
-        lines.append("                stats.instructions += icount")
-        lines.append("            if clock > max_cycles:")
-        lines.append(f"                {_MAX_RAISE}")
-        lines.append("            if not thread.done:")
-        lines.append(
-            "                heappush(ready,"
-            " (thread.ready_at, tid, thread))"
-        )
-        lines.append("        return clock")
-        lines.append("    return _run_loop")
-        # One compile() per factory: the two share no code, and the
-        # compiler's peak memory grows with the size of one call's
-        # source.
-        namespace = dict(self.globals)
-        source_lines = 0
-        for part in (slice_lines, lines):
-            source = "\n".join(part) + "\n"
-            exec(compile(source, f"<codegen:{graph.entry}>", "exec"), namespace)
-            source_lines += len(part)
-        bind_slice = namespace["_bind_slice"]
-        bind_loop = namespace["_bind_loop"]
-
-        def bind(machine):
-            return bind_slice(machine), bind_loop(machine)
-
+        source = "\n".join(lines) + "\n"
+        exec(compile(source, f"<codegen:{graph.entry}>", "exec"), self.globals)
         return _CompiledGraph(
-            bind,
+            self.globals["_bind_slice"],
             self.count,
             len(self._segments),
-            source_lines,
+            len(lines),
             self.physical,
             self.instrumented,
         )

@@ -424,11 +424,8 @@ class Machine:
         # share it.  The compiled tier binds this machine's state
         # (max_cycles, memory, locks, csrs, results, histogram) into
         # closure cells here, so slices pay no per-call attribute loads.
-        # ``_loop`` is the compiled tier's whole-run scheduler (run()'s
-        # loop with the dispatch inlined); the interpreter uses run()'s own.
-        self._loop = None
         if self.compiled is not None:
-            self._slice, self._loop = self.compiled.bind(self)
+            self._slice = self.compiled.bind(self)
         else:
             self._slice = self._run_thread
 
@@ -488,26 +485,21 @@ class Machine:
             ready: list[tuple[int, int, _Thread]] = []
             for ready_at, tid in self.start():
                 heapq.heappush(ready, (ready_at, tid, threads[tid]))
-            if self._loop is not None:
-                # Compiled tier: the generated module carries this same
-                # scheduler loop with the dispatch tree inlined.
-                clock = self._loop(ready, clock)
-            else:
-                slice_fn = self._slice
-                max_cycles = self.max_cycles
-                heappop = heapq.heappop
-                heappush = heapq.heappush
-                while ready:
-                    ready_at, tid, thread = heappop(ready)
-                    if ready_at > clock:
-                        clock = ready_at
-                    clock = slice_fn(thread, clock)
-                    if clock > max_cycles:
-                        raise SimulatorError(
-                            f"simulation exceeded {max_cycles} cycles"
-                        )
-                    if not thread.done:
-                        heappush(ready, (thread.ready_at, tid, thread))
+            slice_fn = self._slice
+            max_cycles = self.max_cycles
+            heappop = heapq.heappop
+            heappush = heapq.heappush
+            while ready:
+                ready_at, tid, thread = heappop(ready)
+                if ready_at > clock:
+                    clock = ready_at
+                clock = slice_fn(thread, clock)
+                if clock > max_cycles:
+                    raise SimulatorError(
+                        f"simulation exceeded {max_cycles} cycles"
+                    )
+                if not thread.done:
+                    heappush(ready, (thread.ready_at, tid, thread))
             result = RunResult(
                 clock, [t.stats for t in self.threads], self.results
             )

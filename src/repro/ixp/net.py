@@ -73,7 +73,7 @@ from typing import Callable
 from repro.errors import SimulatorError
 from repro.ixp.machine import CLOCK_MHZ, SIM_MODES, Machine, hash48
 from repro.ixp.memory import MemorySystem
-from repro.trace import ensure, log2_bound, nearest_rank
+from repro.trace import Tracer, ensure, log2_bound, nearest_rank
 
 #: event kinds on the global heap (tie-broken by sequence number).
 _EV_ARRIVE, _EV_WORKER, _EV_SINK, _EV_PUSH = 0, 1, 2, 3
@@ -627,6 +627,34 @@ def stream_app(
     if name == "nat":
         return _nat_stream_app(comp)
     raise ValueError(f"unknown streaming app '{name}'")
+
+
+def compile_app(
+    name: str, virtual: bool = False, cache_dir: str | None = None, tracer=None
+):
+    """Compile one of the Section 11 apps for :func:`stream_app`.
+
+    ``virtual`` stops before register allocation; otherwise the ILP
+    allocator runs with a 900 s solve budget.  With ``cache_dir`` the
+    compile goes through the content-addressed cache there.
+    """
+    from repro.apps import build_aes_app, build_kasumi_app, build_nat_app
+    from repro.cache import CompileCache, cached_compile
+    from repro.compiler import CompileOptions
+
+    build_app = {
+        "aes": build_aes_app,
+        "kasumi": build_kasumi_app,
+        "nat": build_nat_app,
+    }[name]
+    options = CompileOptions()
+    options.run_allocator = not virtual
+    options.alloc.solve.time_limit = 900
+    cache = CompileCache(cache_dir, tracer) if cache_dir else None
+    comp, _ = cached_compile(
+        build_app().source, f"{name}.nova", options, cache, tracer
+    )
+    return comp
 
 
 # --------------------------------------------------------------------------
@@ -1285,30 +1313,8 @@ def _chip_worker(
     """
     from dataclasses import replace
 
-    from repro.compiler import CompileOptions, compile_nova
-    from repro.trace import Tracer
-
-    from repro.apps import build_aes_app, build_kasumi_app, build_nat_app
-
-    builder = {
-        "aes": build_aes_app,
-        "kasumi": build_kasumi_app,
-        "nat": build_nat_app,
-    }[app_name]
-    source = builder().source
-    options = CompileOptions()
-    options.run_allocator = not virtual
-    options.alloc.solve.time_limit = 900
     tracer = Tracer() if trace else None
-    if cache_dir:
-        from repro.cache import CompileCache, cached_compile
-
-        cache = CompileCache(cache_dir, tracer)
-        comp, _ = cached_compile(
-            source, f"{app_name}.nova", options, cache, tracer
-        )
-    else:
-        comp = compile_nova(source, f"{app_name}.nova", options, tracer=tracer)
+    comp = compile_app(app_name, virtual, cache_dir, tracer)
     chip_config = replace(config, seed=chip_seed(config.seed, chip))
     result = run_stream(stream_app(app_name, comp, sizes), chip_config, tracer)
     if not keep_packets:
@@ -1433,193 +1439,3 @@ def stream_trace_lines(result: StreamResult, memory: MemorySystem | None = None)
     if memory is not None:
         lines.append(f"memory_digest={memory_digest(memory)}")
     return lines
-
-
-# --------------------------------------------------------------------------
-# ``novac pump`` CLI
-# --------------------------------------------------------------------------
-
-
-def pump_main(argv: list[str]) -> int:
-    """Entry point for ``novac pump`` (see :mod:`repro.cli`)."""
-    import argparse
-
-    from repro.compiler import CompileOptions, compile_nova
-    from repro.errors import NovaError
-    from repro.trace import Tracer
-
-    parser = argparse.ArgumentParser(
-        prog="novac pump",
-        description="drive a Section 11 app with a synthetic packet stream",
-    )
-    parser.add_argument("--app", choices=("aes", "kasumi", "nat"), required=True)
-    parser.add_argument("--engines", type=int, default=6,
-                        help="micro-engines per chip (default 6, the paper's "
-                             "full chip)")
-    parser.add_argument("--threads", type=int, default=4)
-    parser.add_argument("--steer", choices=STEER_MODES, default="flow",
-                        help="dispatch policy: flow-hash or round-robin")
-    parser.add_argument("--chips", type=int, default=1,
-                        help="independent chips to shard across (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="process-pool workers for --chips > 1")
-    parser.add_argument("--packets", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rx", type=int, default=32, metavar="N",
-                        help="per-engine RX ring capacity (default 32)")
-    parser.add_argument("--tx", type=int, default=32, metavar="N",
-                        help="TX ring capacity (default 32)")
-    parser.add_argument("--arrival", choices=("poisson", "constant", "backlog"),
-                        default="poisson")
-    parser.add_argument("--gap", type=float, default=64.0,
-                        help="mean cycles between bursts (default 64)")
-    parser.add_argument("--burst", type=int, default=1)
-    parser.add_argument("--sink-gap", type=int, default=0,
-                        help="cycles between TX drains (default 0 = line rate)")
-    parser.add_argument("--cycles", type=int, default=None,
-                        help="stop after this many cycles (default: packet budget)")
-    parser.add_argument("--payload-bytes", default=None, metavar="CSV",
-                        help="payload-size choices, e.g. 16,32,64")
-    parser.add_argument("--virtual", action="store_true",
-                        help="skip the ILP allocator (fast smoke runs)")
-    parser.add_argument("--sim-mode", choices=SIM_MODES, default="compiled",
-                        help="simulator tier for the engines: generated "
-                             "code (default) or the reference interpreter")
-    parser.add_argument("--cache-dir", metavar="DIR",
-                        help="content-addressed compile cache directory")
-    parser.add_argument("--trace", action="store_true",
-                        help="print the span table (includes net.* spans)")
-    parser.add_argument("--trace-json", metavar="FILE",
-                        help="write spans as JSON lines")
-    args = parser.parse_args(argv)
-
-    sizes = None
-    if args.payload_bytes:
-        sizes = tuple(int(piece, 0) for piece in args.payload_bytes.split(","))
-
-    from repro.apps import build_aes_app, build_kasumi_app, build_nat_app
-
-    builder = {
-        "aes": build_aes_app,
-        "kasumi": build_kasumi_app,
-        "nat": build_nat_app,
-    }[args.app]
-    source = builder().source
-    options = CompileOptions()
-    options.run_allocator = not args.virtual
-    options.alloc.solve.time_limit = 900
-    tracer = Tracer() if (args.trace or args.trace_json) else None
-
-    import sys
-
-    try:
-        if args.cache_dir:
-            from repro.cache import CompileCache, cached_compile
-
-            cache = CompileCache(args.cache_dir, tracer)
-            comp, _ = cached_compile(
-                source, f"{args.app}.nova", options, cache, tracer
-            )
-        else:
-            comp = compile_nova(
-                source, f"{args.app}.nova", options, tracer=tracer
-            )
-    except NovaError as exc:
-        print(f"novac pump: {exc}", file=sys.stderr)
-        return 1
-
-    config = NetConfig(
-        engines=args.engines,
-        threads=args.threads,
-        rx_capacity=args.rx,
-        tx_capacity=args.tx,
-        packets=args.packets,
-        max_cycles=args.cycles,
-        seed=args.seed,
-        arrival=args.arrival,
-        mean_gap=args.gap,
-        burst=args.burst,
-        sink_gap=args.sink_gap,
-        steer=args.steer,
-        sim_mode=args.sim_mode,
-    )
-    mode = "virtual" if args.virtual else "physical"
-
-    if args.chips > 1:
-        # Multi-chip deployment: the compile above warmed the cache (if
-        # any), so pool workers recompile cheaply or hit the cache.
-        try:
-            sharded = run_sharded(
-                args.app,
-                config,
-                chips=args.chips,
-                sizes=sizes,
-                virtual=args.virtual,
-                cache_dir=args.cache_dir,
-                jobs=args.jobs,
-                tracer=tracer,
-            )
-        except (SimulatorError, ValueError) as exc:
-            print(f"novac pump: {exc}", file=sys.stderr)
-            return 1
-        summary = sharded.summary()
-        print(
-            f"pump {args.app} ({mode}, {args.sim_mode}, "
-            f"{args.chips} chips x {config.engines}x{config.threads})"
-        )
-        for key in (
-            "chips", "generated", "completed", "dropped", "inflight",
-            "mismatches", "cycles", "mbps", "latency_p50", "latency_p95",
-        ):
-            print(f"  {key:<14} {summary[key]}")
-        if tracer is not None:
-            if args.trace:
-                print(tracer.table())
-            if args.trace_json:
-                tracer.write_jsonl(args.trace_json)
-        if sharded.mismatches:
-            print(
-                f"novac pump: {len(sharded.mismatches)} packets mismatched "
-                "the reference implementation",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-
-    try:
-        result = run_stream(stream_app(args.app, comp, sizes), config, tracer)
-    except (SimulatorError, ValueError) as exc:
-        print(f"novac pump: {exc}", file=sys.stderr)
-        return 1
-
-    summary = result.summary()
-    print(f"pump {args.app} ({mode}, {args.sim_mode})")
-    for key in (
-        "engines", "threads", "generated", "completed", "dropped",
-        "inflight", "mismatches", "cycles", "mbps", "latency_p50",
-        "latency_p95", "latency_max", "rx_high_water", "tx_high_water",
-    ):
-        print(f"  {key:<14} {summary[key]}")
-    if result.truncated:
-        print("  (truncated by --cycles budget)")
-    hist = result.latency_histogram()
-    if hist:
-        widest = max(hist.values())
-        print("  latency histogram (cycles):")
-        for bound, count in hist.items():
-            bar = "#" * max(1, round(count * 40 / widest))
-            print(f"    <= {bound:<10d} {count:>5d} {bar}")
-    if tracer is not None:
-        if args.trace:
-            print(tracer.table())
-        if args.trace_json:
-            tracer.write_jsonl(args.trace_json)
-    if result.mismatches:
-        for mismatch in result.mismatches[:5]:
-            print(
-                f"novac pump: packet {mismatch['packet']} mismatched the "
-                "reference implementation",
-                file=sys.stderr,
-            )
-        return 1
-    return 0

@@ -11,7 +11,9 @@ solver nodes, per-opcode cycle histograms) — onto a :class:`Tracer`.
 Consumers:
 
 - ``novac --trace`` renders the spans as a human-readable table;
-- ``novac --trace-json FILE`` writes one JSON object per span per line;
+- ``novac --trace-json FILE`` writes one JSON object per span per line
+  (every subcommand goes through :func:`emit_trace`);
+- ``novac --stats`` prints the top-level spans' wall times;
 - ``benchmarks/`` derives the Figure 5-7 tables from the same spans.
 
 Tracing is strictly opt-in.  When no tracer is supplied, callers get
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -337,6 +340,30 @@ NULL = NullTracer()
 def ensure(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
     """Normalize an optional tracer argument."""
     return NULL if tracer is None else tracer
+
+
+def emit_trace(
+    tracer: "Tracer | None", prog: str, table: bool, json_path: str | None
+) -> int:
+    """A command's ``--trace`` / ``--trace-json`` output, on any exit path.
+
+    Prints the span table when ``table`` and writes the JSON lines to
+    ``json_path`` when given; does nothing without a tracer.  Returns
+    the exit status this adds: 1, after printing ``<prog>: <error>`` to
+    stderr, when the file cannot be written, else 0 — so a command ends
+    with ``return emit_trace(...) or code``.
+    """
+    if tracer is None:
+        return 0
+    if table:
+        print(tracer.table())
+    if json_path is not None:
+        try:
+            tracer.write_jsonl(json_path)
+        except OSError as exc:
+            print(f"{prog}: {exc}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def _fmt(value: object) -> str:

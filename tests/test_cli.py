@@ -43,12 +43,31 @@ def test_cps_dump(program, capsys):
     assert "halt" in out
 
 
-def test_stats(program, capsys):
-    assert main(["--stats", program]) == 0
+def test_stats(program, tmp_path, capsys):
+    """--stats prints the spans this run recorded: a fresh compile times
+    every phase and measures the root relaxation, a cache hit times only
+    its lookup."""
+    cache_dir = str(tmp_path / "cache")
+    assert main(["--stats", "--cache-dir", cache_dir, program]) == 0
     out = capsys.readouterr().out
     assert "layouts: 1" in out
     assert "ILP:" in out
     assert "spills=0" in out
+    assert main(["--stats", "--cache-dir", cache_dir, program]) == 0
+    hit = capsys.readouterr().out
+
+    def phases(text):
+        return [line.split()[0] for line in text.splitlines()
+                if line.endswith(" ms")]
+
+    assert phases(out) == [
+        "cache.lookup", "parse", "typecheck", "cps", "deproc", "optimize",
+        "ssu", "select", "allocate", "cache.store",
+    ]
+    assert phases(hit) == ["cache.lookup"]
+    ilp = next(line for line in out.splitlines() if line.startswith("ILP:"))
+    row = dict(item.split("=") for item in ilp[len("ILP:"):].split())
+    assert float(row["root_time_s"]) > 0
 
 
 def test_two_phase_flag(program, capsys):
@@ -227,3 +246,80 @@ def test_batch_trace_json(programs, tmp_path):
     assert "batch" in names
     assert names.count("unit") == 2
     assert names.count("parse") == 2  # worker spans adopted into the trace
+
+
+# -- novac pump ---------------------------------------------------------------
+
+PUMP = ["pump", "--app", "nat", "--virtual", "--arrival", "backlog",
+        "--rx", "20", "--seed", "7"]
+
+
+def test_pump_one_chip(capsys):
+    assert main(PUMP + ["--packets", "16"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pump nat (virtual, compiled)\n")
+    for line in ("  engines        6", "  generated      16",
+                 "  completed      16", "  mismatches     0"):
+        assert line + "\n" in out
+    assert "  latency histogram (cycles):\n" in out
+    assert "    <= " in out
+
+
+def test_pump_sharded(capsys):
+    assert main(PUMP + ["--packets", "8", "--chips", "2", "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pump nat (virtual, compiled, 2 chips x 6x4)\n")
+    for line in ("  chips          2", "  generated      16",
+                 "  completed      16", "  mismatches     0"):
+        assert line + "\n" in out
+
+
+def test_pump_interpreter_tier(capsys):
+    assert main(PUMP + ["--packets", "8", "--sim-mode", "interp"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pump nat (virtual, interp)\n")
+    assert "  mismatches     0\n" in out
+
+
+def test_pump_trace_json(tmp_path, capsys):
+    import json
+
+    trace_path = tmp_path / "pump.jsonl"
+    assert main(PUMP + ["--packets", "8", "--trace-json", str(trace_path)]) == 0
+    names = [json.loads(line)["name"]
+             for line in trace_path.read_text().splitlines()]
+    assert "parse" in names and "net.run" in names
+
+
+def test_pump_trace_json_flushes_on_failed_run(tmp_path, capsys):
+    """A failed pump still writes the spans it recorded (the compile)."""
+    import json
+
+    trace_path = tmp_path / "pump.jsonl"
+    argv = ["pump", "--app", "kasumi", "--virtual", "--packets", "4",
+            "--payload-bytes", "15", "--trace-json", str(trace_path)]
+    assert main(argv) == 1
+    assert "8-byte blocks" in capsys.readouterr().err
+    names = [json.loads(line)["name"]
+             for line in trace_path.read_text().splitlines()]
+    assert "parse" in names and "select" in names
+    assert "net.run" not in names
+
+
+def test_pump_unwritable_trace_json(tmp_path, capsys):
+    missing = tmp_path / "missing" / "pump.jsonl"
+    assert main(PUMP + ["--packets", "4", "--trace-json", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert "  completed      4\n" in captured.out  # the run itself finished
+    assert captured.err.startswith("novac pump: [Errno 2]")
+
+
+def test_fuzz_unwritable_trace_json(tmp_path, capsys):
+    missing = tmp_path / "missing" / "fuzz.jsonl"
+    argv = ["fuzz", "--count", "1", "--configs", "ref", "--no-shrink",
+            "--artifact-dir", str(tmp_path / "art"),
+            "--trace-json", str(missing)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "fuzz: 1/1 ok" in captured.out
+    assert captured.err.startswith("novac fuzz: [Errno 2]")

@@ -132,11 +132,9 @@ class TestPipelineSpans:
         select = t.get("select").counters
         assert select["instructions"] > 0 and select["blocks"] > 0
 
-    def test_untraced_compile_records_nothing_but_keeps_times(self):
+    def test_untraced_compile_records_nothing(self):
         comp = compile_nova(SOURCE)
         assert comp.trace is None
-        for phase in PHASES:
-            assert comp.phase_seconds[phase] >= 0
 
     def test_two_phase_traces_both_solves(self):
         t = Tracer()
