@@ -191,19 +191,24 @@ def aes_reference_ciphertext(
     return [int.from_bytes(out[i : i + 4], "big") for i in range(0, len(out), 4)]
 
 
-def aes_reference_checksum(payload: bytes, key: bytes = DEFAULT_AES_KEY) -> int:
-    """The trailer word main() returns: packed (nprocessed, cksum)."""
+def aes_trailer(ciphertext: list[int]) -> int:
+    """The trailer word main() returns for the ciphertext words: packed
+    (nprocessed, cksum)."""
 
     def fold16(x: int) -> int:
         y = (x & 0xFFFF) + (x >> 16)
         return (y & 0xFFFF) + (y >> 16)
 
     cksum = 0
-    words = aes_reference_ciphertext(payload, key)
-    for i in range(0, len(words), 4):
-        c0, c1, c2, c3 = words[i : i + 4]
+    for i in range(0, len(ciphertext), 4):
+        c0, c1, c2, c3 = ciphertext[i : i + 4]
         cksum = fold16(
             fold16(cksum + fold16(c0) + fold16(c1)) + fold16(c2) + fold16(c3)
         )
-    nblocks = len(words) // 4
+    nblocks = len(ciphertext) // 4
     return ((nblocks & 0xFFFF) << 16) | (cksum & 0xFFFF)
+
+
+def aes_reference_checksum(payload: bytes, key: bytes = DEFAULT_AES_KEY) -> int:
+    """The trailer word main() returns for ``payload``."""
+    return aes_trailer(aes_reference_ciphertext(payload, key))

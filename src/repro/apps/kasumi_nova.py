@@ -152,9 +152,13 @@ def kasumi_reference_ciphertext(
     return [int.from_bytes(out[i : i + 4], "big") for i in range(0, len(out), 4)]
 
 
-def kasumi_reference_sum(payload: bytes, key: bytes = DEFAULT_KASUMI_KEY) -> int:
-    words = kasumi_reference_ciphertext(payload, key)
+def kasumi_xor_sum(ciphertext: list[int]) -> int:
+    """The value main() returns for the ciphertext words: their XOR."""
     total = 0
-    for word in words:
+    for word in ciphertext:
         total ^= word
     return total
+
+
+def kasumi_reference_sum(payload: bytes, key: bytes = DEFAULT_KASUMI_KEY) -> int:
+    return kasumi_xor_sum(kasumi_reference_ciphertext(payload, key))

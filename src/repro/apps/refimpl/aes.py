@@ -66,6 +66,10 @@ def aes_t_tables() -> tuple[list[int], list[int], list[int], list[int]]:
     return t0, t1, t2, t3
 
 
+#: T0..T3 for :func:`aes_encrypt_words`, built once per process.
+_T0, _T1, _T2, _T3 = (tuple(table) for table in aes_t_tables())
+
+
 def expand_key(key: bytes) -> list[int]:
     """AES-128 key expansion → 44 round-key words (FIPS-197 §5.2)."""
     if len(key) != 16:
@@ -88,7 +92,7 @@ def expand_key(key: bytes) -> list[int]:
 
 def aes_encrypt_words(block: list[int], round_keys: list[int]) -> list[int]:
     """Encrypt one block given as 4 big-endian words."""
-    t0, t1, t2, t3 = aes_t_tables()
+    t0, t1, t2, t3 = _T0, _T1, _T2, _T3
     s = [block[i] ^ round_keys[i] for i in range(4)]
     for rnd in range(1, 10):
         rk = round_keys[4 * rnd : 4 * rnd + 4]

@@ -111,7 +111,13 @@ def kasumi_subkeys(key: bytes) -> list[dict[str, tuple[int, ...]]]:
 
 def kasumi_encrypt_words(left: int, right: int, key: bytes) -> tuple[int, int]:
     """Encrypt one 64-bit block given as two 32-bit words."""
-    for i, sub in enumerate(kasumi_subkeys(key)):
+    return _encrypt_words(left, right, kasumi_subkeys(key))
+
+
+def _encrypt_words(
+    left: int, right: int, subkeys: list[dict[str, tuple[int, ...]]]
+) -> tuple[int, int]:
+    for i, sub in enumerate(subkeys):
         if i % 2 == 0:
             temp = fo(fl(left, sub["KL"]), sub["KO"], sub["KI"])
         else:
@@ -133,9 +139,15 @@ def kasumi_encrypt_payload(payload: bytes, key: bytes) -> bytes:
     """ECB over a multiple-of-8 payload."""
     if len(payload) % 8:
         raise ValueError("payload must be a multiple of 8 bytes")
+    subkeys = kasumi_subkeys(key)
     out = bytearray()
     for i in range(0, len(payload), 8):
-        out.extend(kasumi_encrypt_block(payload[i : i + 8], key))
+        left, right = _encrypt_words(
+            int.from_bytes(payload[i : i + 4], "big"),
+            int.from_bytes(payload[i + 4 : i + 8], "big"),
+            subkeys,
+        )
+        out.extend(left.to_bytes(4, "big") + right.to_bytes(4, "big"))
     return bytes(out)
 
 

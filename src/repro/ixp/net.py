@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -478,8 +479,8 @@ def _event_bytes(event: TraceEvent) -> bytes:
 
 def _aes_stream_app(comp, payload_sizes: tuple[int, ...]) -> StreamApp:
     from repro.apps.aes_nova import (
-        aes_reference_checksum,
         aes_reference_ciphertext,
+        aes_trailer,
         build_aes_app,
     )
 
@@ -489,13 +490,14 @@ def _aes_stream_app(comp, payload_sizes: tuple[int, ...]) -> StreamApp:
     bundle = build_aes_app()
 
     def from_payload(seq: int, payload: bytes) -> StreamPacket:
+        ciphertext = aes_reference_ciphertext(payload)
         return StreamPacket(
             seq=seq,
             payload_words=_to_words(payload),
             payload_bytes=len(payload),
             inputs={"nblocks": len(payload) // 16, "align": 0},
-            expected_results=(aes_reference_checksum(payload),),
-            expected_words=aes_reference_ciphertext(payload),
+            expected_results=(aes_trailer(ciphertext),),
+            expected_words=ciphertext,
         )
 
     def generate(rng: random.Random, seq: int) -> StreamPacket:
@@ -514,7 +516,7 @@ def _kasumi_stream_app(comp, payload_sizes: tuple[int, ...]) -> StreamApp:
     from repro.apps.kasumi_nova import (
         build_kasumi_app,
         kasumi_reference_ciphertext,
-        kasumi_reference_sum,
+        kasumi_xor_sum,
     )
 
     for size in payload_sizes:
@@ -523,13 +525,14 @@ def _kasumi_stream_app(comp, payload_sizes: tuple[int, ...]) -> StreamApp:
     bundle = build_kasumi_app()
 
     def from_payload(seq: int, payload: bytes) -> StreamPacket:
+        ciphertext = kasumi_reference_ciphertext(payload)
         return StreamPacket(
             seq=seq,
             payload_words=_to_words(payload),
             payload_bytes=len(payload),
             inputs={"nblocks": len(payload) // 8},
-            expected_results=(kasumi_reference_sum(payload),),
-            expected_words=kasumi_reference_ciphertext(payload),
+            expected_results=(kasumi_xor_sum(ciphertext),),
+            expected_words=ciphertext,
         )
 
     def generate(rng: random.Random, seq: int) -> StreamPacket:
@@ -987,17 +990,6 @@ class NetRuntime:
                 )
         return out
 
-    def _on_worker(self, now: int, worker: int) -> None:
-        state = self.worker_state[worker]
-        if state == "dormant":
-            return
-        if state == "idle":
-            self._worker_pull(now, worker)
-        elif state == "txwait":
-            self._worker_tx(now, worker)
-        else:  # 'run'
-            self._worker_run(now, worker)
-
     def _worker_pull(self, now: int, worker: int) -> None:
         engine, tid = divmod(worker, self.config.threads)
         popped = self.rx[engine].try_dequeue(now)
@@ -1023,21 +1015,15 @@ class NetRuntime:
         self.worker_state[worker] = "run"
         self._push(finish, _EV_WORKER, worker)
 
-    def _worker_run(self, now: int, worker: int) -> None:
+    def _worker_halt(self, clock: int, worker: int) -> None:
+        """Worker ``worker``'s thread halted at ``clock``: hand its
+        packet to the TX stage."""
         engine, tid = divmod(worker, self.config.threads)
-        machine = self.machines[engine]
-        thread = machine.threads[tid]
-        clock = machine.service(tid, max(self.engine_clock[engine], now))
-        self.engine_clock[engine] = clock
-        self.end_cycle = max(self.end_cycle, clock)
-        if not thread.done:
-            self._push(thread.ready_at, _EV_WORKER, worker)
-            return
-        # Halted: collect this thread's own halt values.  Sibling
-        # threads of the same engine halt in interleaved slices, so
-        # the shared ``machine.results`` list is in no useful order —
-        # the per-thread hand-off is the only race-free channel.
-        values = machine.take_result(tid)
+        # Collect this thread's own halt values.  Sibling threads of
+        # the same engine halt in interleaved slices, so the shared
+        # ``machine.results`` list is in no useful order — the
+        # per-thread hand-off is the only race-free channel.
+        values = self.machines[engine].take_result(tid)
         assert values is not None, "halted thread must have halt values"
         packet = self.worker_packet[worker]
         packet.halted = clock
@@ -1111,6 +1097,59 @@ class NetRuntime:
     def _finished(self) -> bool:
         return self.source_done and self.accounted >= self.generated
 
+    def _loop(self) -> None:
+        """Pop events until every packet is accounted for (or the
+        ``max_cycles`` horizon).  Workers in state ``run`` — most of
+        the events — are serviced inline, so a slice costs one call,
+        the machine's own ``service``."""
+        heap, state = self._heap, self.worker_state
+        engine_clock = self.engine_clock
+        heappop, heappush = heapq.heappop, heapq.heappush
+        max_cycles = self.config.max_cycles
+        horizon = math.inf if max_cycles is None else max_cycles
+        # Bound here, not at construction: a caller may wrap a
+        # machine's ``service`` on the instance in between (probes).
+        workers = [
+            (engine, tid, machine.threads[tid], machine.service)
+            for engine, machine in enumerate(self.machines)
+            for tid in range(self.config.threads)
+        ]
+        while heap:
+            time, _, kind, data = heappop(heap)
+            if time > horizon:
+                self.truncated = True
+                return
+            if kind == _EV_WORKER:
+                worker_state = state[data]
+                if worker_state == "run":
+                    engine, tid, thread, service = workers[data]
+                    free = engine_clock[engine]
+                    clock = service(tid, time if time > free else free)
+                    engine_clock[engine] = clock
+                    if clock > self.end_cycle:
+                        self.end_cycle = clock
+                    if thread.done:
+                        self._worker_halt(clock, data)
+                    else:
+                        heappush(
+                            heap, (thread.ready_at, self._seq, _EV_WORKER, data)
+                        )
+                        self._seq += 1
+                elif worker_state == "idle":
+                    self._worker_pull(time, data)
+                elif worker_state == "txwait":
+                    self._worker_tx(time, data)
+                continue  # worker events never account for a packet
+            if kind == _EV_PUSH:
+                self._on_push(time, data)
+                continue
+            if kind == _EV_ARRIVE:
+                self._on_arrival(time)
+            else:
+                self._on_sink(time)
+            if self._finished():
+                return
+
     def run(self) -> StreamResult:
         config = self.config
         with self.tracer.span(
@@ -1129,21 +1168,8 @@ class NetRuntime:
                 self._push(0, _EV_ARRIVE)
             for worker in range(len(self.worker_state)):
                 self._push(0, _EV_WORKER, worker)
-            while self._heap:
-                time, _, kind, data = heapq.heappop(self._heap)
-                if config.max_cycles is not None and time > config.max_cycles:
-                    self.truncated = True
-                    break
-                if kind == _EV_ARRIVE:
-                    self._on_arrival(time)
-                elif kind == _EV_WORKER:
-                    self._on_worker(time, data)
-                elif kind == _EV_PUSH:
-                    self._on_push(time, data)
-                else:
-                    self._on_sink(time)
-                if self._finished():
-                    break
+            if not self._finished():
+                self._loop()
             # Packet conservation: every generated packet is completed,
             # dropped, or still somewhere in the pipeline (queued /
             # dispatching / on an engine / awaiting the sink) — the

@@ -7,6 +7,7 @@ allocated path is exercised end to end by
 ``benchmarks/test_net_throughput.py``.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -22,6 +23,7 @@ from repro.ixp.net import (
     capture_trace,
     run_stream,
     stream_app,
+    stream_trace_lines,
 )
 from repro.trace import Tracer
 
@@ -285,6 +287,50 @@ def test_trace_validation_errors(nat_stream):
 def test_empty_trace_runs_clean(nat_stream):
     result = run_stream(nat_stream, NetConfig(trace=()))
     assert result.generated == result.completed == 0
+
+
+def test_instance_probes_see_every_event_loop_call(kasumi_stream):
+    """Wrappers put on a built runtime's machines and rings count every
+    call its event loop makes, and change nothing it reports.
+
+    Profilers (``perfbench/chip.py``) wrap ``service``, ``dispatch``
+    and the rings' ``try_dequeue``/``try_enqueue`` on the instances
+    between construction and :meth:`NetRuntime.run`; a fast path that
+    binds these at construction, or goes around them, fails here.
+    """
+    config = NetConfig(
+        engines=2, threads=2, packets=16, seed=4, mean_gap=60.0,
+        tx_capacity=2, sink_gap=2000,
+    )
+    plain = NetRuntime(kasumi_stream, config)
+    expected = stream_trace_lines(plain.run(), plain.memory)
+
+    runtime = NetRuntime(kasumi_stream, config)
+    calls = collections.Counter()
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for machine in runtime.machines:
+        machine.service = counted("service", machine.service)
+        machine.dispatch = counted("dispatch", machine.dispatch)
+    for ring in runtime.rx:
+        ring.try_dequeue = counted("rx.dequeue", ring.try_dequeue)
+    runtime.tx.try_enqueue = counted("tx.enqueue", runtime.tx.try_enqueue)
+    result = runtime.run()
+
+    assert stream_trace_lines(result, runtime.memory) == expected
+    assert result.completed > 0 and result.mismatches == []
+    assert calls["service"] > 0
+    assert calls["dispatch"] == result.completed
+    assert calls["rx.dequeue"] >= result.completed
+    stalls = sum(p.tx_stalls for p in result.packets)
+    assert stalls > 0
+    assert calls["tx.enqueue"] == result.completed + stalls
 
 
 def test_capture_trace_requires_kept_packets(nat_stream):
