@@ -753,7 +753,7 @@ def _spill_moves_needing_spare(
     out: dict[Bank, list[int]] = {Bank.S: [], Bank.L: []}
     if p in am.sets.no_move_points:
         return out
-    banks = am.allowed(v)
+    banks = sorted(am.allowed(v), key=lambda b: b.value)
     for b1 in banks:
         for b2 in banks:
             if b1 == b2:
