@@ -9,7 +9,11 @@ Two claims from the daemon's design get measured and recorded to
    identical compile is a hot-LRU replay.  Measured over the example
    programs as client-observed round-trip latency (p50/p95 of
    ``WARM_REQUESTS`` requests) against a wall-clock in-process
-   ``compile_nova``.
+   ``compile_nova``.  The ``full_window`` row times the same hits on a
+   connection that has already had ``FULL_WINDOW`` replies, so its
+   4096-reply latency window is full, as on any long-lived client; it
+   is held to the same floor against the cheapest example's cold
+   compile.
 
 2. **A warm-started solve is no slower than a cold one.**  On the
    paper's Figure 5-7 applications (AES / Kasumi / NAT) the allocation
@@ -44,6 +48,10 @@ BENCH_FILE = ROOT / "BENCH_serve.json"
 EXAMPLES = ["classify.nova", "ring_sum.nova", "ttl_decrement.nova"]
 
 WARM_REQUESTS = 30
+
+#: replies on one connection before the ``full_window`` row is timed:
+#: the daemon's per-client latency window holds 4096.
+FULL_WINDOW = 4096
 
 #: the tentpole's acceptance floor: served warm hit vs cold in-process.
 MIN_WARM_SPEEDUP = 10.0
@@ -82,30 +90,53 @@ def _measure_serving(tmp_path):
 
     results = {}
     with client:
+        sources = {}
         for name in EXAMPLES:
-            source = (ROOT / "examples" / name).read_text()
+            source = sources[name] = (ROOT / "examples" / name).read_text()
             start = time.perf_counter()
             compile_nova(source, name)
             cold_ms = (time.perf_counter() - start) * 1000
 
             client.compile_source(source, name)  # populate (pool compile)
             client.compile_source(source, name)  # promote to hot
-            warm = []
-            for _ in range(WARM_REQUESTS):
-                start = time.perf_counter()
-                body = client.compile_source(source, name)
-                warm.append((time.perf_counter() - start) * 1000)
-                assert body["cache"] == "hot"
-            p50 = nearest_rank(warm, 50)
-            results[name] = {
-                "cold_inprocess_ms": round(cold_ms, 3),
-                "warm_p50_ms": round(p50, 3),
-                "warm_p95_ms": round(nearest_rank(warm, 95), 3),
-                "speedup_p50": round(cold_ms / p50, 1),
-            }
+            warm = _timed_hits(client, [(name, source)] * WARM_REQUESTS)
+            results[name] = _serving_row(cold_ms, warm)
+
+        cycle = list(sources.items())
+        replies = 0
+        while replies < FULL_WINDOW:
+            name, source = cycle[replies % len(cycle)]
+            replies = client.compile_source(source, name)["server"]["requests"]
+        warm = _timed_hits(client, cycle * WARM_REQUESTS)
+        cheapest = min(row["cold_inprocess_ms"] for row in results.values())
+        results["full_window"] = {
+            **_serving_row(cheapest, warm),
+            "prior_replies": replies,
+        }
         client.shutdown()
     thread.join(timeout=30)
     return results
+
+
+def _timed_hits(client, requests):
+    """Round-trip ms of each (name, source) hit; every one must be hot."""
+    out = []
+    for name, source in requests:
+        start = time.perf_counter()
+        body = client.compile_source(source, name)
+        out.append((time.perf_counter() - start) * 1000)
+        assert body["cache"] == "hot"
+    return out
+
+
+def _serving_row(cold_ms, warm):
+    p50 = nearest_rank(warm, 50)
+    return {
+        "cold_inprocess_ms": round(cold_ms, 3),
+        "warm_p50_ms": round(p50, 3),
+        "warm_p95_ms": round(nearest_rank(warm, 95), 3),
+        "speedup_p50": round(cold_ms / p50, 1),
+    }
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +200,7 @@ def _measure_warm_start(tmp_path):
 
 
 def write_bench_file(serving, warm_start):
-    """Persist results; each baseline block is frozen once recorded."""
+    """Persist results; each baseline row is frozen once recorded."""
     data = {
         "meta": {
             "benchmark": "benchmarks/test_serve_latency.py",
@@ -188,16 +219,12 @@ def write_bench_file(serving, warm_start):
             baseline = json.loads(BENCH_FILE.read_text()).get("baseline") or {}
         except (OSError, ValueError):
             baseline = {}
-    baseline.setdefault(
-        "serving",
-        {
-            name: {
-                "warm_p50_ms": row["warm_p50_ms"],
-                "speedup_p50": row["speedup_p50"],
-            }
-            for name, row in serving.items()
-        },
-    )
+    frozen = baseline.setdefault("serving", {})
+    for name, row in serving.items():
+        frozen.setdefault(
+            name,
+            {"warm_p50_ms": row["warm_p50_ms"], "speedup_p50": row["speedup_p50"]},
+        )
     baseline.setdefault(
         "warm_start",
         {

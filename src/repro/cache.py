@@ -23,6 +23,7 @@ Robustness rules:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -38,6 +39,17 @@ from repro.trace import ensure
 CACHE_FORMAT = 1
 
 
+_LEAVES = (str, int, float, bool, type(None))
+
+
+class _NotPlain(Exception):
+    """An unfingerprintable value; ``steps`` collects its path leaf-first."""
+
+    def __init__(self, value):
+        self.value = value
+        self.steps: list[str] = []
+
+
 def _plain(value, path: str = "options"):
     """Reduce an options object to JSON-serializable plain data.
 
@@ -49,26 +61,65 @@ def _plain(value, path: str = "options"):
     A value outside the plain-data vocabulary raises :class:`TypeError`
     naming the offending field: the old ``repr(value)`` fallback embedded
     memory addresses for arbitrary objects (``<object at 0x7f...>``),
-    which silently turned every lookup into a cross-process miss.
+    which silently turned every lookup into a cross-process miss.  The
+    field path is rendered only then; every cache lookup pays for the
+    walk, so it formats nothing it does not need.
     """
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _plain(getattr(value, f.name), f"{path}.{f.name}")
-            for f in dataclasses.fields(value)
-            if f.metadata.get("fingerprint", True)
-        }
-    if isinstance(value, (list, tuple)):
-        return [_plain(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    if isinstance(value, dict):
-        return {
-            str(k): _plain(v, f"{path}.{k}") for k, v in sorted(value.items())
-        }
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    try:
+        return _reduce(value)
+    except _NotPlain as exc:
+        where = path + "".join(reversed(exc.steps))
+        raise TypeError(
+            f"cannot fingerprint option field {where}: "
+            f"{type(exc.value).__name__} is not plain data (its repr may "
+            f"embed memory addresses, which would make every cache lookup a "
+            f"miss across processes)"
+        ) from None
+
+
+def _reduce(value):
+    if isinstance(value, _LEAVES):
         return value
-    raise TypeError(
-        f"cannot fingerprint option field {path}: {type(value).__name__} is "
-        f"not plain data (its repr may embed memory addresses, which would "
-        f"make every cache lookup a miss across processes)"
+    names = _fingerprinted(type(value))
+    if names is not None:
+        out = {}
+        for name in names:
+            try:
+                out[name] = _reduce(getattr(value, name))
+            except _NotPlain as exc:
+                exc.steps.append(f".{name}")
+                raise
+        return out
+    if isinstance(value, (list, tuple)):
+        items = []
+        for i, item in enumerate(value):
+            try:
+                items.append(_reduce(item))
+            except _NotPlain as exc:
+                exc.steps.append(f"[{i}]")
+                raise
+        return items
+    if isinstance(value, dict):
+        out = {}
+        for k, v in sorted(value.items()):
+            try:
+                out[str(k)] = _reduce(v)
+            except _NotPlain as exc:
+                exc.steps.append(f".{k}")
+                raise
+        return out
+    raise _NotPlain(value)
+
+
+@functools.cache
+def _fingerprinted(cls: type) -> tuple[str, ...] | None:
+    """A dataclass's fingerprinted field names; None for other types."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("fingerprint", True)
     )
 
 

@@ -16,13 +16,15 @@ for tests/containers).  A compile request walks three tiers::
         → worker pool (full compile; the allocation ILP is
           warm-started from the nearest prior solution)
 
-The one thing the daemon adds to the client's sparse options: allocator
-compiles get ``hint_dir`` under the cache directory and a ``hint_key``
-derived from the *front-end* fingerprint + source, so allocator-knob-only
-variants of one program share one incumbent.  Both fields are
-fingerprint-excluded, so a daemon's cache keys equal in-process ones and
-the two share one disk cache.  The solver engine is the client's (or the
-default ``highs``).
+The tiers are keyed by :func:`repro.cache.cache_key` of the client's
+sparse options.  The one thing the daemon adds to them, once a request
+has missed the hot tier: allocator compiles get ``hint_dir`` under the
+cache directory and a ``hint_key`` derived from the *front-end*
+fingerprint + source, so allocator-knob-only variants of one program
+share one incumbent.  A hot hit never computes the hint key.  Both
+fields are fingerprint-excluded, so a daemon's cache keys equal
+in-process ones and the two share one disk cache.  The solver engine is
+the client's (or the default ``highs``).
 
 Failure model: a compile error is a structured per-request failure,
 never a daemon exit.  A killed pool worker breaks the whole
@@ -43,6 +45,7 @@ import multiprocessing
 import os
 import sys
 import time
+from bisect import bisect_left, insort
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -61,7 +64,7 @@ from repro.proto import (
     error_response,
     options_from_wire,
 )
-from repro.trace import Tracer, nearest_rank
+from repro.trace import Tracer, nearest_rank_index
 
 
 @dataclass
@@ -192,7 +195,14 @@ def _worker_pid() -> int:
 
 
 class Metrics:
-    """Request counters + a bounded latency reservoir (per client/global)."""
+    """Request counters + the latencies of the last 4096 replies.
+
+    One per client connection and one daemon-wide.  The window is kept
+    twice: in arrival order, which says what leaves next, and sorted,
+    updated on each :meth:`record` (``O(log n)`` search, one ``memmove``),
+    so a reply's percentiles are two index reads, not a sort of the
+    whole window.
+    """
 
     def __init__(self) -> None:
         self.requests = 0
@@ -200,10 +210,17 @@ class Metrics:
         self.misses = 0
         self.errors = 0
         self.latencies_ms: deque[float] = deque(maxlen=4096)
+        self.sorted_ms: list[float] = []
 
     def record(self, ms: float, cache: str, ok: bool) -> None:
         self.requests += 1
-        self.latencies_ms.append(ms)
+        window = self.latencies_ms
+        if len(window) == window.maxlen:
+            # The append below evicts window[0]; any equal value stands
+            # in for it in the sorted copy.
+            del self.sorted_ms[bisect_left(self.sorted_ms, window[0])]
+        window.append(ms)
+        insort(self.sorted_ms, ms)
         if not ok:
             self.errors += 1
         elif cache in ("hot", "hit"):
@@ -211,17 +228,21 @@ class Metrics:
         elif cache == "miss":
             self.misses += 1
 
+    def _percentile(self, p: float) -> float:
+        """Nearest-rank ``p``-th percentile in ms; 0.0 before any reply."""
+        ordered = self.sorted_ms
+        if not ordered:
+            return 0.0
+        return ordered[nearest_rank_index(len(ordered), p)]
+
     def snapshot(self) -> dict:
-        # Sorted once here, so nearest_rank's own sort is a linear pass;
-        # an empty reservoir reads 0.0.
-        ordered = sorted(self.latencies_ms) or [0.0]
         return {
             "requests": self.requests,
             "hits": self.hits,
             "misses": self.misses,
             "errors": self.errors,
-            "p50_ms": round(nearest_rank(ordered, 50), 3),
-            "p95_ms": round(nearest_rank(ordered, 95), 3),
+            "p50_ms": round(self._percentile(50), 3),
+            "p95_ms": round(self._percentile(95), 3),
         }
 
 
@@ -397,15 +418,6 @@ class CompileServer:
 
     # -- compile -------------------------------------------------------------
 
-    def _resolve_options(self, request: dict) -> CompileOptions:
-        """Client's sparse options + the warm-start hint for allocation."""
-        options = options_from_wire(request.get("options"))
-        if options.run_allocator:
-            source = request.get("source") or ""
-            options.alloc.solve.hint_dir = str(self.hint_dir)
-            options.alloc.solve.hint_key = hint_key_for(source, options)
-        return options
-
     async def _compile_one(self, request: dict) -> dict:
         source = request.get("source")
         if not isinstance(source, str):
@@ -415,7 +427,7 @@ class CompileServer:
         if payload_kind not in PAYLOADS:
             raise ProtocolError(f"payload must be one of {PAYLOADS}")
         want_trace = bool(request.get("trace"))
-        options = self._resolve_options(request)
+        options = options_from_wire(request.get("options"))
         key = cache_key(source, options)
 
         hot = self.hot.get(key)
@@ -431,6 +443,12 @@ class CompileServer:
                 "spans": [],
             }
 
+        # Past the hot tier, an allocator compile may solve: give it the
+        # warm-start hint.  Both fields are fingerprint-excluded, so the
+        # key above stays the artifact's key.
+        if options.run_allocator:
+            options.alloc.solve.hint_dir = str(self.hint_dir)
+            options.alloc.solve.hint_key = hint_key_for(source, options)
         # Disk tier: unpickling a slim artifact is a few ms, but off the
         # event loop anyway so a large listing render can't stall other
         # clients.

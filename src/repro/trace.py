@@ -107,24 +107,34 @@ def nearest_rank(values: list, p: float):
     """Exact nearest-rank percentile of ``values``; -1 when empty.
 
     The one percentile definition of the package (stream latencies in
-    :mod:`repro.ixp.net`, request latencies in :mod:`repro.serve`).  The
-    rank ``ceil(n * p / 100)`` is evaluated over
+    :mod:`repro.ixp.net`, request latencies in :mod:`repro.serve`); the
+    rank rule is :func:`nearest_rank_index`.
+    """
+    index = nearest_rank_index(len(values), p)
+    if not values:
+        return -1
+    return sorted(values)[index]
+
+
+def nearest_rank_index(n: int, p: float) -> int:
+    """Index of the nearest-rank ``p``-th percentile in ``n`` sorted values.
+
+    The rank ``ceil(n * p / 100)`` is evaluated over
     :class:`~fractions.Fraction` (exact for both int and float ``p``),
     with ``p == 0`` pinned to the minimum — a ``max(1, ...)`` clamp
     would silently alias p=0 onto rank 1, and float multiplication can
-    drift the floor-division across a rank boundary.
+    drift the floor-division across a rank boundary.  Callers that keep
+    their values sorted index them directly instead of re-sorting.
+    Meaningless for ``n == 0``; raises :class:`ValueError` unless
+    ``0 <= p <= 100``.
     """
     if not 0 <= p <= 100:
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    if not values:
-        return -1
-    ordered = sorted(values)
     if p == 0:
-        return ordered[0]
-    n = len(ordered)
+        return 0
     scaled = Fraction(p) * n  # exact: Fraction(float) has no rounding
     rank = -(-scaled.numerator // (scaled.denominator * 100))  # ceil
-    return ordered[min(n, rank) - 1]
+    return min(n, rank) - 1
 
 
 class SpanHandle:

@@ -2,17 +2,20 @@
 
 import asyncio
 import math
+import random
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro import cli
+from repro import cli, serve
 from repro.cache import CompileCache, cached_compile
 from repro.client import ServeClient, ServeError, parse_endpoint, try_connect
 from repro.compiler import CompileOptions, compile_nova
 from repro.proto import ProtocolError, options_from_wire, options_to_wire
-from repro.serve import CompileServer, Metrics, ServeConfig
+from repro.serve import CompileServer, Metrics, ServeConfig, hint_key_for
 from repro.trace import nearest_rank
 
 GOOD = """
@@ -153,6 +156,22 @@ class TestCompileTiers:
         hints = list((tmp_path / "cache" / "hints").rglob("*.json"))
         assert hints, "the miss's solve should have recorded a hint"
 
+    def test_hot_hit_never_computes_the_hint_key(self, server, monkeypatch):
+        # The hint key only seeds a solve; a hot hit must not pay for it.
+        calls = []
+
+        def counted(source, options):
+            calls.append(source)
+            return hint_key_for(source, options)
+
+        monkeypatch.setattr(serve, "hint_key_for", counted)
+        with ServeClient.connect(server.socket) as client:
+            assert client.compile_source(GOOD)["cache"] == "miss"
+            assert len(calls) == 1
+            for _ in range(3):
+                assert client.compile_source(GOOD)["cache"] == "hot"
+        assert len(calls) == 1
+
     def test_knob_variant_miss_is_warm_started_highs(self, server):
         variant = CompileOptions()
         variant.alloc.solve.gap = 1e-3
@@ -249,6 +268,41 @@ def test_metrics_percentiles_keep_their_values():
         metrics.record(ms, "hot", True)
     snapshot = metrics.snapshot()
     assert (snapshot["p50_ms"], snapshot["p95_ms"]) == (3.0, 5.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pool=st.lists(
+        st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+        min_size=1,
+        max_size=12,
+    ),
+    count=st.integers(min_value=0, max_value=2 * 4096 + 64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(pool=[1.0, 2.0], count=2 * 4096 + 64, seed=0)
+def test_latency_window_stays_sorted_past_its_length(pool, count, seed):
+    # A small value pool plus zeros gives the window many duplicates, so
+    # evicting "the" oldest value must remove exactly one equal copy.
+    rng = random.Random(seed)
+    values = pool + [0.0]
+    metrics = Metrics()
+    sent = []
+    size = metrics.latencies_ms.maxlen
+    checkpoints = {count - 1, size - 1, size, size + 1}
+    checkpoints.update(range(0, count, 701))
+    for i in range(count):
+        ms = rng.choice(values)
+        metrics.record(ms, "hot", True)
+        sent.append(ms)
+        if i not in checkpoints:
+            continue
+        held = list(metrics.latencies_ms)
+        assert held == sent[-size:]
+        assert metrics.sorted_ms == sorted(held)
+        snapshot = metrics.snapshot()
+        for p in (50, 95):
+            assert snapshot[f"p{p}_ms"] == round(nearest_rank(held, p), 3)
 
 
 class TestClientFallback:
