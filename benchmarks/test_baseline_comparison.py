@@ -9,9 +9,11 @@ cycles per packet for ILP-allocated vs baseline-allocated code.
 
 import pytest
 
-from repro.alloc.baseline import allocate_baseline
+from repro.alloc.baseline import allocate_baseline, baseline_input_locations
+from repro.alloc.decode import place_inputs
 from repro.ixp import isa
 from repro.ixp.machine import Machine
+from repro.ixp.memory import MemorySystem
 
 from benchmarks.conftest import print_table
 
@@ -58,89 +60,60 @@ def test_ilp_beats_baseline_on_moves(compiled_apps):
         )
 
 
+def _run_packet(app, comp, graph, locations):
+    """One packet of ``app`` through allocated ``graph``."""
+    memory = MemorySystem.create()
+    memory.load_image(app.memory_image)
+    inputs = place_inputs(locations, comp.make_inputs(**app.inputs), memory)
+    machine = Machine(
+        graph,
+        memory=memory,
+        physical=True,
+        input_provider=lambda tid, it: dict(inputs) if it == 0 else None,
+    )
+    return machine.run(), memory
+
+
 def test_baseline_code_is_correct_when_colorable(compiled_apps):
     """When the baseline manages to color, its code must still work."""
-    from repro.apps.driver import run_physical_threads
-
     name = "Kasumi"
     app, comp = compiled_apps[name]
     baseline = allocate_baseline(comp.flowgraph)
     if baseline.physical is None:
         pytest.skip("baseline spilled; no runnable code")
     # Execute one packet on both and compare the ciphertext.
-    from repro.ixp.memory import MemorySystem
-
     results = []
     for graph, locations in (
         (comp.physical, comp.alloc.decoded.input_locations),
-        (baseline.physical, _baseline_locations(comp, baseline)),
+        (
+            baseline.physical,
+            baseline_input_locations(comp.flowgraph, baseline),
+        ),
     ):
-        memory = MemorySystem.create()
-        for space, chunks in app.memory_image.items():
-            for addr, words in chunks:
-                memory[space].load_words(addr, words)
-        raw = comp.make_inputs(**app.inputs)
-        physical_inputs = {}
-        for temp, value in raw.items():
-            loc = locations.get(temp)
-            if loc is None:
-                continue
-            kind, where = loc
-            physical_inputs[(where.bank, where.index)] = value
-
-        def provider(tid, iteration, inputs=physical_inputs):
-            return dict(inputs) if iteration == 0 else None
-
-        machine = Machine(
-            graph, memory=memory, physical=True, input_provider=provider
-        )
-        run = machine.run()
+        run, memory = _run_packet(app, comp, graph, locations)
         results.append(
             (run.results, memory["sdram"].dump_words(app.payload_base, 2))
         )
     assert results[0] == results[1]
 
 
-def _baseline_locations(comp, baseline):
-    from repro.alloc.baseline import baseline_input_locations
-
-    return baseline_input_locations(comp.flowgraph, baseline)
-
-
 def test_ilp_beats_baseline_on_cycles(compiled_apps):
     """Dynamic comparison: cycles per packet, when both runnable."""
-    from repro.ixp.memory import MemorySystem
-
     rows = []
     for name, (app, comp) in compiled_apps.items():
         baseline = allocate_baseline(comp.flowgraph)
         if baseline.physical is None:
             continue
-
-        def run(graph, locations):
-            memory = MemorySystem.create()
-            for space, chunks in app.memory_image.items():
-                for addr, words in chunks:
-                    memory[space].load_words(addr, words)
-            raw = comp.make_inputs(**app.inputs)
-            inputs = {}
-            for temp, value in raw.items():
-                loc = locations.get(temp)
-                if loc is not None:
-                    inputs[(loc[1].bank, loc[1].index)] = value
-
-            def provider(tid, iteration):
-                return dict(inputs) if iteration == 0 else None
-
-            machine = Machine(
-                graph, memory=memory, physical=True, input_provider=provider
-            )
-            return machine.run().cycles
-
-        ilp_cycles = run(comp.physical, comp.alloc.decoded.input_locations)
-        base_cycles = run(
-            baseline.physical, _baseline_locations(comp, baseline)
+        ilp_run, _ = _run_packet(
+            app, comp, comp.physical, comp.alloc.decoded.input_locations
         )
+        base_run, _ = _run_packet(
+            app,
+            comp,
+            baseline.physical,
+            baseline_input_locations(comp.flowgraph, baseline),
+        )
+        ilp_cycles, base_cycles = ilp_run.cycles, base_run.cycles
         rows.append([name, ilp_cycles, base_cycles,
                      round(base_cycles / ilp_cycles, 2)])
     print_table(

@@ -11,6 +11,7 @@ loop-heavy kernel and on KASUMI: constant loads migrate to cold code,
 cutting dynamic instructions, while semantics stay bit-exact.
 """
 
+from repro.alloc.decode import place_inputs
 from repro.compiler import CompileOptions, compile_nova
 from repro.ixp.machine import Machine
 
@@ -42,12 +43,7 @@ def _compile(source, remat):
 def _run(comp, image, **inputs):
     memory = make_memory(image)
     raw = comp.make_inputs(**inputs)
-    locations = comp.alloc.decoded.input_locations
-    pinned = {}
-    for temp, value in raw.items():
-        loc = locations.get(temp)
-        if loc is not None:
-            pinned[(loc[1].bank, loc[1].index)] = value
+    pinned = place_inputs(comp.alloc.decoded.input_locations, raw, memory)
     machine = Machine(
         comp.physical,
         memory=memory,

@@ -9,8 +9,15 @@ to the whole stream, so queueing — not drops — absorbs the burst) on 1,
 4 and 6 engines and records cycles, throughput and latency percentiles
 to ``BENCH_net.json`` at the repo root.  A second block re-runs the
 full chip at the paper's own payload sizes (AES 16-byte blocks, Kasumi
-8-byte blocks, NAT 40-byte headers) so EXPERIMENTS.md can put measured
-whole-chip Mb/s directly against the paper's published numbers.
+8, 16 and 256 bytes, NAT 40-byte headers) so EXPERIMENTS.md can put
+measured whole-chip Mb/s directly against the paper's published
+numbers, and checks the paper's shape there:
+
+- each cipher is within 8x of its published Mb/s at small payloads;
+- AES beats Kasumi in Mb/s at 16-byte payloads (paper: 270 vs 210);
+- multithreading hides memory latency: with 4 threads per engine the
+  chip drains the AES backlog in fewer cycles than with 1.
+
 ``benchmarks/net_smoke.py`` reads the file in CI and fails on
 scaling/validation regressions.
 
@@ -37,13 +44,20 @@ BENCHES = [
     ("NAT", "nat", None),
 ]
 
-#: the paper's Section 11 operating points (payload sizes and published
-#: whole-chip Mb/s); NAT's table has no direct Mb/s figure.
+#: the paper's Section 11 operating points: row key -> (stream adapter,
+#: payload sizes, published whole-chip Mb/s).  NAT's table has no direct
+#: Mb/s figure.
 PAPER = {
-    "aes": {"payload_bytes": (16,), "paper_mbps": 270},
-    "kasumi": {"payload_bytes": (8,), "paper_mbps": 320},
-    "nat": {"payload_bytes": None, "paper_mbps": None},
+    "aes": ("aes", (16,), 270),
+    "kasumi": ("kasumi", (8,), 320),
+    "kasumi-16": ("kasumi", (16,), 210),
+    "kasumi-256": ("kasumi", (256,), 60),
+    "nat": ("nat", None, None),
 }
+
+#: the shape checks hold each published small-payload figure to within
+#: this factor of the measured one.
+PAPER_FACTOR = 8
 
 PACKETS = 96
 THREADS = 4
@@ -57,10 +71,10 @@ MIN_SCALING = 2.5
 MIN_SCALING_APPS = 2
 
 
-def _run(name: str, comp, sizes, engines: int):
+def _run(name: str, comp, sizes, engines: int, threads: int = THREADS):
     config = NetConfig(
         engines=engines,
-        threads=THREADS,
+        threads=threads,
         # every per-engine ring holds the whole backlog, so even a
         # worst-case flow-hash pileup on one engine cannot drop
         rx_capacity=PACKETS + 4,
@@ -119,9 +133,10 @@ def write_bench_file(results: dict, paper: dict) -> None:
 def test_net_throughput_table(compiled_apps):
     rows = []
     results = {}
-    paper = {}
+    comps = {}
     for fixture_name, stream_name, sizes in BENCHES:
         _, comp = compiled_apps[fixture_name]
+        comps[stream_name] = comp
         runs = {}
         for engines in ENGINE_COUNTS:
             result = _run(stream_name, comp, sizes, engines)
@@ -153,24 +168,6 @@ def test_net_throughput_table(compiled_apps):
             "rx_high_water_6e": six.rx_high_water,
             "steered_6e": six.steered,
         }
-        # The paper-comparison run: full chip at the paper's payload
-        # sizes.  Measured whole-chip Mb/s lands next to the published
-        # figure (EXPERIMENTS.md Section 11 table).
-        published = PAPER[stream_name]
-        chip = _run(
-            stream_name, comp, published["payload_bytes"], engines=6
-        )
-        assert chip.completed == PACKETS and not chip.mismatches
-        paper[stream_name] = {
-            "payload_bytes": (
-                list(published["payload_bytes"])
-                if published["payload_bytes"]
-                else [40]
-            ),
-            "paper_mbps": published["paper_mbps"],
-            "ours_mbps_6e": round(chip.mbps, 3),
-            "latency_p95": chip.percentile(95),
-        }
         rows.append(
             [
                 stream_name,
@@ -190,6 +187,20 @@ def test_net_throughput_table(compiled_apps):
          "scale 6e", "p95 6e"],
         rows,
     )
+    # The paper-comparison runs: full chip at the paper's payload
+    # sizes.  Measured whole-chip Mb/s lands next to the published
+    # figure (EXPERIMENTS.md Section 11 table).
+    paper = {}
+    chips = {}
+    for key, (stream_name, sizes, published) in PAPER.items():
+        chip = chips[key] = _run(stream_name, comps[stream_name], sizes, 6)
+        assert chip.completed == PACKETS and not chip.mismatches
+        paper[key] = {
+            "payload_bytes": list(sizes) if sizes else [40],
+            "paper_mbps": published,
+            "ours_mbps_6e": round(chip.mbps, 3),
+            "latency_p95": chip.percentile(95),
+        }
     paper_rows = [
         [
             name,
@@ -204,7 +215,26 @@ def test_net_throughput_table(compiled_apps):
         ["app", "payload B", "paper", "ours"],
         paper_rows,
     )
+    # Four threads per engine against one, on the same AES backlog.
+    single = _run("aes", comps["aes"], (16,), 6, threads=1)
+    assert single.completed == PACKETS and not single.mismatches
+    quad = chips["aes"]
+    print_table(
+        f"Multithreading: AES 16 B, {PACKETS} packets on 6 engines",
+        ["threads/engine", "cycles", "Mb/s"],
+        [
+            [n, run.cycles, f"{run.mbps:.1f}"]
+            for n, run in ((1, single), (THREADS, quad))
+        ],
+    )
     write_bench_file(results, paper)
+    for key in ("aes", "kasumi", "kasumi-16"):
+        ours, published = paper[key]["ours_mbps_6e"], paper[key]["paper_mbps"]
+        assert published / PAPER_FACTOR <= ours <= published * PAPER_FACTOR, (
+            f"{key}: {ours:.0f} Mb/s vs paper {published}"
+        )
+    assert chips["aes"].mbps > chips["kasumi-16"].mbps
+    assert quad.cycles < single.cycles
     scaled = [
         k for k, row in results.items() if row["scaling_4e"] >= MIN_SCALING
     ]

@@ -23,7 +23,9 @@ import pathlib
 import sys
 import time
 
-from repro.apps.driver import run_physical_threads
+from repro.alloc.decode import place_inputs
+from repro.ixp.machine import Machine
+from repro.ixp.memory import MemorySystem
 
 from benchmarks.conftest import print_table
 
@@ -34,6 +36,10 @@ BENCH_FILE = ROOT / "BENCH_sim.json"
 BENCHES = [("AES", 16, 16), ("Kasumi", 8, 8)]
 
 MODES = ("interp", "compiled")
+
+THREADS = 4
+#: SDRAM words between two threads' packet regions.
+THREAD_STRIDE = 0x400
 
 WARMUP_RUNS = 10
 TIMED_REPS = 5
@@ -53,21 +59,40 @@ def _payload_words(payload_bytes: int) -> list[int]:
     ]
 
 
+def _machine(app, comp, payload_bytes, block, sim_mode, packets) -> Machine:
+    """Each thread re-processes ``packets`` copies of one payload held in
+    its own SDRAM region."""
+    memory = MemorySystem.create()
+    memory.load_image(app.memory_image)
+    words = _payload_words(payload_bytes)
+    inputs = []
+    for tid in range(THREADS):
+        base = app.inputs["base"] + tid * THREAD_STRIDE
+        memory["sdram"].load_words(base, words)
+        values = {**app.inputs, "nblocks": payload_bytes // block, "base": base}
+        inputs.append(
+            place_inputs(
+                comp.alloc.decoded.input_locations,
+                comp.make_inputs(**values),
+                memory,
+            )
+        )
+    return Machine(
+        comp.physical,
+        memory=memory,
+        threads=THREADS,
+        physical=True,
+        input_provider=lambda tid, it: dict(inputs[tid]) if it < packets else None,
+        max_cycles=200_000_000,
+        mode=sim_mode,
+    )
+
+
 def _one_run(compiled_apps, name, payload_bytes, block, sim_mode, packets):
     app, comp = compiled_apps[name]
-    words = _payload_words(payload_bytes)
     start = time.process_time()
-    result = run_physical_threads(
-        comp,
-        app,
-        words,
-        packets_per_thread=packets,
-        threads=4,
-        input_overrides={"nblocks": payload_bytes // block},
-        sim_mode=sim_mode,
-    )
+    run = _machine(app, comp, payload_bytes, block, sim_mode, packets).run()
     seconds = time.process_time() - start
-    run = result.run
     return run.instructions / seconds, run.cycles / seconds
 
 

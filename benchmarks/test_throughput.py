@@ -1,140 +1,20 @@
-"""Section 11 throughput numbers.
+"""Compiler throughput: batch compilation, cache, process pool.
 
-Paper (233 MHz IXP1200, hardware packet generator):
-
-    AES Rijndael:  270 Mb/s at 16-byte payloads
-    Kasumi:        320 / 210 / 60 Mb/s at 8 / 16 / 256-byte payloads
-
-"None of these programs were written to be highly optimized for
-bit-rate processing speeds."
-
-The reproduction runs the *allocated* (physical-register) code on the
-cycle-approximate simulator with four hardware threads — on ONE
-micro-engine, where the paper's testbed ran the full chip (six
-micro-engines); the table therefore also shows the 6x chip-scaled
-figure.  Absolute Mb/s further depends on the latency model; the claims
-that must hold:
-
-- both ciphers sustain the paper's order of magnitude at small payloads
-  (chip-scaled tens-to-hundreds of Mb/s at 233 MHz),
-- Kasumi per-byte cost exceeds AES per-byte cost at 16-byte payloads
-  (more, serialized table lookups per byte — the paper shows AES 270
-  vs Kasumi 210 at 16 bytes),
-- multithreading hides memory latency: 4 threads beat 1 thread.
+The paper compiles one program per multi-second ILP solve (Figure 7:
+35.9 s for AES one-shot).  A compiler *service* amortizes that with a
+content-addressed artifact cache and a process pool; these tests
+measure both over the full suite — every examples/*.nova source plus
+the three Section 11 applications.  The Section 11 packet throughput
+itself is measured on the whole chip by
+``benchmarks/test_net_throughput.py``.
 """
-
-import pytest
-
-from repro.apps.driver import run_physical_threads
-
-from benchmarks.conftest import print_table
-
-PAPER = [
-    ["AES", 16, 270],
-    ["Kasumi", 8, 320],
-    ["Kasumi", 16, 210],
-    ["Kasumi", 256, 60],
-]
-
-
-def _payload_words(payload_bytes: int) -> list[int]:
-    data = bytes((i * 37 + 11) & 0xFF for i in range(payload_bytes))
-    return [int.from_bytes(data[i : i + 4], "big") for i in range(0, len(data), 4)]
-
-
-def _run(compiled_apps, name, payload_bytes, threads=4, packets=6):
-    app, comp = compiled_apps[name]
-    block = 16 if name == "AES" else 8
-    words = _payload_words(payload_bytes)
-    return run_physical_threads(
-        comp,
-        app,
-        words,
-        threads=threads,
-        packets_per_thread=packets,
-        input_overrides={"nblocks": payload_bytes // block},
-    )
-
-
-#: The paper ran the whole IXP1200 (six micro-engines); we simulate one.
-MICRO_ENGINES = 6
-
-
-def test_throughput_table(compiled_apps):
-    rows = []
-    measured = {}
-    for name, payload in (("AES", 16), ("Kasumi", 8), ("Kasumi", 16), ("Kasumi", 256)):
-        result = _run(compiled_apps, name, payload)
-        measured[(name, payload)] = result.mbps
-        rows.append(
-            [
-                name,
-                payload,
-                round(result.mbps, 1),
-                round(result.mbps * MICRO_ENGINES, 1),
-                round(result.cycles_per_packet, 0),
-            ]
-        )
-    print_table(
-        "Section 11 throughput (this reproduction, 4 threads, 233 MHz)",
-        ["program", "payload B", "Mb/s (1 ME)", "Mb/s (x6 MEs)", "cycles/packet"],
-        rows,
-    )
-    print_table(
-        "Section 11 throughput (paper, full chip = 6 MEs)",
-        ["program", "payload B", "Mb/s"],
-        PAPER,
-    )
-    # Order-of-magnitude claims (chip-scaled vs paper, within 8x).
-    paper = {("AES", 16): 270, ("Kasumi", 8): 320, ("Kasumi", 16): 210}
-    for key, reported in paper.items():
-        scaled = measured[key] * MICRO_ENGINES
-        assert reported / 8 <= scaled <= reported * 8, (
-            f"{key}: {scaled:.0f} Mb/s vs paper {reported}"
-        )
-    # AES beats Kasumi per byte at 16-byte payloads (paper: 270 vs 210).
-    assert measured[("AES", 16)] > measured[("Kasumi", 16)]
-
-
-def test_multithreading_hides_latency(compiled_apps):
-    single = _run(compiled_apps, "AES", 16, threads=1, packets=8)
-    quad = _run(compiled_apps, "AES", 16, threads=4, packets=2)
-    # Same total packets; four threads should be clearly faster.
-    assert quad.run.cycles < single.run.cycles
-    print(
-        f"\nAES 8 packets: 1 thread = {single.run.cycles} cycles, "
-        f"4 threads = {quad.run.cycles} cycles "
-        f"({single.run.cycles / quad.run.cycles:.2f}x)"
-    )
-
-
-@pytest.mark.parametrize(
-    "name,payload", [("AES", 16), ("Kasumi", 8), ("Kasumi", 256)]
-)
-def test_throughput_speed(benchmark, compiled_apps, name, payload):
-    benchmark.pedantic(
-        lambda: _run(compiled_apps, name, payload, packets=2),
-        rounds=1,
-        iterations=1,
-    )
-
-
-# --------------------------------------------------------------------------
-# Compiler throughput: batch compilation, cache, process pool
-# --------------------------------------------------------------------------
-#
-# The paper compiles one program per multi-second ILP solve (Figure 7:
-# 35.9 s for AES one-shot).  A compiler *service* amortizes that with a
-# content-addressed artifact cache and a process pool; these tests
-# measure both over the full suite — every examples/*.nova source plus
-# the three Section 11 applications.
 
 from pathlib import Path
 
 from repro.batch import compile_many
 from repro.compiler import CompileOptions
 
-from benchmarks.conftest import APP_BUILDERS
+from benchmarks.conftest import APP_BUILDERS, print_table
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 

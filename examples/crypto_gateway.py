@@ -1,107 +1,63 @@
 #!/usr/bin/env python3
 """A crypto gateway: AES and KASUMI line-rate encryption on the IXP1200.
 
-Compiles the paper's two cipher benchmarks, validates the simulated
-micro-engine output against the pure-Python references, and measures
-multi-threaded throughput at the 233 MHz IXP1200 clock — the Section 11
-experiment.
+Compiles the paper's two cipher benchmarks, streams packets through the
+whole simulated chip (six micro-engines x four threads), checks every
+packet's ciphertext against the pure-Python references, and measures
+throughput at the 233 MHz IXP1200 clock — the Section 11 experiment.
 
 Run:  python examples/crypto_gateway.py          (takes ~30s: 2 ILP solves)
 """
 
-from repro.apps import build_aes_app, build_kasumi_app
-from repro.apps.aes_nova import aes_reference_ciphertext
-from repro.apps.kasumi_nova import kasumi_reference_ciphertext
-from repro.apps.driver import run_physical_threads
-from repro.compiler import CompileOptions, compile_nova
+from repro.ixp.net import NetConfig, compile_app, run_stream, stream_app
+
+PACKETS = 48
 
 
-def compile_app(app):
-    options = CompileOptions()
-    options.alloc.solve.time_limit = 900
-    print(f"[{app.name}] compiling (ILP bank assignment + coloring)...")
-    comp = compile_nova(app.source, options=options)
+def compile_cipher(name):
+    print(f"[{name}] compiling (ILP bank assignment + coloring)...")
+    comp = compile_app(name)
     alloc = comp.alloc
     print(
-        f"[{app.name}] {alloc.status}: {alloc.variables} vars, "
+        f"[{name}] {alloc.status}: {alloc.variables} vars, "
         f"{alloc.moves} moves, {alloc.spills} spills, "
         f"solve {alloc.integer_seconds:.1f}s"
     )
     return comp
 
 
-def validate(comp, app, reference_words, payload_words):
-    """One packet through the allocated code; compare the ciphertext."""
-    result = run_physical_threads(
-        comp, app, payload_words, threads=1, packets_per_thread=1
+def stream(name, comp, payload_bytes):
+    """A backlog of packets through the chip; the sink checks each one."""
+    config = NetConfig(
+        packets=PACKETS, arrival="backlog", rx_capacity=PACKETS + 4, seed=7
     )
-    base = app.inputs["base"]
-    got = result.run  # noqa: F841 — cycles live here
-    # Re-run to read memory (run_physical_threads owns its memory).
-    from repro.ixp.memory import MemorySystem
-
-    memory = MemorySystem.create()
-    for space, chunks in app.memory_image.items():
-        for addr, words in chunks:
-            memory[space].load_words(addr, words)
-    from repro.ixp.machine import Machine
-
-    raw = comp.make_inputs(**app.inputs)
-    locations = comp.alloc.decoded.input_locations
-    inputs = {}
-    for temp, value in raw.items():
-        loc = locations.get(temp)
-        if loc is not None:
-            inputs[(loc[1].bank, loc[1].index)] = value
-    machine = Machine(
-        comp.physical,
-        memory=memory,
-        physical=True,
-        input_provider=lambda tid, it: inputs if it == 0 else None,
-    )
-    machine.run()
-    got_words = memory["sdram"].dump_words(base, len(reference_words))
-    assert got_words == reference_words, "simulated ciphertext mismatch!"
-    print(f"[{app.name}] ciphertext verified against the reference")
+    result = run_stream(stream_app(name, comp, (payload_bytes,)), config)
+    assert result.completed == PACKETS, "packets lost in the stream"
+    assert not result.mismatches, "simulated ciphertext mismatch!"
+    return result
 
 
 def main() -> None:
-    # --- AES ---
-    payload = bytes(range(16))
-    aes_app = build_aes_app(payload=payload)
-    aes = compile_app(aes_app)
-    words = [int.from_bytes(payload[i : i + 4], "big") for i in (0, 4, 8, 12)]
-    validate(aes, aes_app, aes_reference_ciphertext(payload), words)
-
-    # --- KASUMI ---
-    kpayload = bytes(range(8))
-    kasumi_app = build_kasumi_app(payload=kpayload)
-    kasumi = compile_app(kasumi_app)
-    kwords = [int.from_bytes(kpayload[i : i + 4], "big") for i in (0, 4)]
-    validate(kasumi, kasumi_app, kasumi_reference_ciphertext(kpayload), kwords)
+    rows = []
+    for name, block in (("aes", 16), ("kasumi", 8)):
+        comp = compile_cipher(name)
+        sizes = (block, block * 2, 256)
+        for payload_bytes in sizes:
+            result = stream(name, comp, payload_bytes)
+            rows.append((name, payload_bytes, result))
+        print(
+            f"[{name}] ciphertext verified against the reference "
+            f"({len(sizes) * PACKETS} packets)"
+        )
 
     # --- throughput sweep (Section 11) ---
-    print("\npayload sweep, 4 threads, 233 MHz:")
-    print(f"{'cipher':8s} {'payload':>8s} {'Mb/s':>8s} {'cyc/pkt':>9s}")
-    for app, comp, block in ((aes_app, aes, 16), (kasumi_app, kasumi, 8)):
-        for payload_bytes in (block, block * 2, 256):
-            data = bytes((i * 31 + 5) & 0xFF for i in range(payload_bytes))
-            pw = [
-                int.from_bytes(data[i : i + 4], "big")
-                for i in range(0, len(data), 4)
-            ]
-            res = run_physical_threads(
-                comp,
-                app,
-                pw,
-                threads=4,
-                packets_per_thread=4,
-                input_overrides={"nblocks": payload_bytes // block},
-            )
-            print(
-                f"{app.name:8s} {payload_bytes:>7d}B {res.mbps:>8.1f} "
-                f"{res.cycles_per_packet:>9.0f}"
-            )
+    print("\npayload sweep, 6 engines x 4 threads, 233 MHz:")
+    print(f"{'cipher':8s} {'payload':>8s} {'Mb/s':>8s} {'p50 cyc':>9s}")
+    for name, payload_bytes, result in rows:
+        print(
+            f"{name:8s} {payload_bytes:>7d}B {result.mbps:>8.1f} "
+            f"{result.percentile(50):>9d}"
+        )
 
 
 if __name__ == "__main__":

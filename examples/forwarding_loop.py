@@ -13,6 +13,7 @@ packet to the transmit FIFO.
 Run:  python examples/forwarding_loop.py          (takes ~10s: 1 ILP solve)
 """
 
+from repro.alloc.decode import place_inputs
 from repro.compiler import CompileOptions, compile_nova
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
@@ -117,19 +118,15 @@ def main() -> None:
         packets.append(header)
         memory["rfifo"].load_words(i * 16, header + payload)
 
-    locations = comp.alloc.decoded.input_locations
-    name_map = comp.inputs_by_name()
+    inputs = place_inputs(
+        comp.alloc.decoded.input_locations,
+        comp.make_inputs(nelems=n_packets, archive=0x800),
+        memory,
+    )
 
     def provider(tid: int, iteration: int):
-        if iteration >= 3:  # each thread tries up to 3 packets
-            return None
-        inputs = {}
-        for source_name, value in (("nelems", n_packets), ("archive", 0x800)):
-            for temp in name_map.get(source_name, ()):
-                loc = locations.get(temp)
-                if loc is not None:
-                    inputs[(loc[1].bank, loc[1].index)] = value
-        return inputs
+        # each thread tries up to 3 packets
+        return dict(inputs) if iteration < 3 else None
 
     machine = Machine(
         comp.physical,

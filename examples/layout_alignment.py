@@ -11,6 +11,7 @@ Run:  python examples/layout_alignment.py
 """
 
 from repro import compile_nova
+from repro.alloc.decode import place_inputs
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
 
@@ -48,13 +49,11 @@ def main() -> None:
     for alignment in (0, 16, 24):
         memory = MemorySystem.create()
         memory["sram"].load_words(8, place_at_alignment(alignment))
-        inputs = result.make_inputs(alignment=alignment, base=8)
-        locations = result.alloc.decoded.input_locations
-        physical = {}
-        for temp, value in inputs.items():
-            loc = locations.get(temp)
-            if loc is not None:
-                physical[(loc[1].bank, loc[1].index)] = value
+        physical = place_inputs(
+            result.alloc.decoded.input_locations,
+            result.make_inputs(alignment=alignment, base=8),
+            memory,
+        )
         machine = Machine(
             result.physical,
             memory=memory,

@@ -13,6 +13,7 @@ Run:  python examples/packet_pipeline.py         (takes ~10s: 1 ILP solve)
 from repro.apps import build_nat_app
 from repro.apps.nat_nova import NAT_TABLE_BASE, nat_reference_output
 from repro.apps.refimpl import nat as nat_ref
+from repro.alloc.decode import place_inputs
 from repro.compiler import CompileOptions, compile_nova
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
@@ -60,18 +61,14 @@ def main() -> None:
     for i, packet in enumerate(packets):
         memory["sdram"].load_words(base + i * stride, packet)
 
-    locations = comp.alloc.decoded.input_locations
-    name_map = comp.inputs_by_name()
-
     def provider(tid: int, iteration: int):
         if iteration >= len(packets):
             return None
-        inputs = {}
-        for temp in name_map["base"]:
-            loc = locations.get(temp)
-            if loc is not None:
-                inputs[(loc[1].bank, loc[1].index)] = base + iteration * stride
-        return inputs
+        return place_inputs(
+            comp.alloc.decoded.input_locations,
+            comp.make_inputs(base=base + iteration * stride),
+            memory,
+        )
 
     machine = Machine(
         comp.physical, memory=memory, physical=True, input_provider=provider

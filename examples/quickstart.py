@@ -9,6 +9,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import compile_nova
+from repro.alloc.decode import place_inputs
 from repro.cps import ir
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
@@ -63,13 +64,11 @@ def main() -> None:
     headers = [0x45000054, 0x60012345, 0x45000028, 0x60FF1122, 0x45ABCDEF]
     memory["sram"].load_words(64, headers)
 
-    inputs = result.make_inputs(ring_base=64, n=len(headers))
-    locations = alloc.decoded.input_locations
-    physical_inputs = {}
-    for temp, value in inputs.items():
-        loc = locations.get(temp)
-        if loc is not None:
-            physical_inputs[(loc[1].bank, loc[1].index)] = value
+    physical_inputs = place_inputs(
+        alloc.decoded.input_locations,
+        result.make_inputs(ring_base=64, n=len(headers)),
+        memory,
+    )
 
     machine = Machine(
         result.physical,

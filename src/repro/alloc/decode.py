@@ -52,6 +52,41 @@ class DecodeResult:
     stats: DecodeStats = field(default_factory=DecodeStats)
 
 
+class SpilledInput(Exception):
+    """A spilled input with no memory to write it to (``args[0]`` is
+    the input temp)."""
+
+
+def place_inputs(
+    locations: dict[str, tuple], values: dict[str, int], memory=None
+) -> dict[tuple[Bank, int], int]:
+    """Put virtual input values where the allocated code reads them.
+
+    ``locations`` is an ``input_locations`` map: a
+    :class:`DecodeResult`'s, or the baseline allocator's, which has the
+    same shape.  A register input becomes a ``(bank, index)`` key of
+    the returned dict, the form a physical
+    :class:`~repro.ixp.machine.Machine` takes from its input provider.
+    A spilled input is written to its slot in the scratch space of
+    ``memory`` (a :class:`~repro.ixp.memory.MemorySystem`), or raises
+    :class:`SpilledInput` when ``memory`` is None.
+    An input the program never reads has no location and is dropped.
+    """
+    out = {}
+    for temp, value in values.items():
+        location = locations.get(temp)
+        if location is None:
+            continue  # unused input
+        kind, where = location
+        if kind == "reg":
+            out[(where.bank, where.index)] = value
+        elif memory is None:
+            raise SpilledInput(temp)
+        else:
+            memory["scratch"].load_words(where, [value])
+    return out
+
+
 class _Decoder:
     def __init__(
         self,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.alloc.decode import place_inputs
 from repro.errors import SimulatorError
 from repro.ixp.banks import Bank
 from repro.ixp.flowgraph import FlowGraph
@@ -80,20 +81,8 @@ def check_equivalence(
     mem_v = MemorySystem.create()
     mem_p = MemorySystem.create()
     for mem in (mem_v, mem_p):
-        for space, chunks in (memory_image or {}).items():
-            for addr, words in chunks:
-                mem[space].load_words(addr, words)
-
-    physical_inputs: dict = {}
-    for name, value in virtual_inputs.items():
-        loc = input_locations.get(name)
-        if loc is None:
-            continue  # unused input
-        kind, where = loc
-        if kind == "reg":
-            physical_inputs[(where.bank, where.index)] = value
-        else:
-            mem_p["scratch"].load_words(where, [value])
+        mem.load_image(memory_image or {})
+    physical_inputs = place_inputs(input_locations, virtual_inputs, mem_p)
 
     try:
         virtual_out = _run(virtual, False, virtual_inputs, mem_v, iterations)

@@ -376,7 +376,9 @@ def _render(result, args, tracer) -> int:
 
 def _run_program(result, args, tracer=None) -> int:
     """Execute the compiled program on the simulator (--run)."""
+    from repro.alloc.decode import place_inputs
     from repro.ixp.machine import CLOCK_MHZ, Machine
+    from repro.ixp.memory import MemorySystem
 
     try:
         values = {}
@@ -389,20 +391,17 @@ def _run_program(result, args, tracer=None) -> int:
         print(f"novac: bad --run inputs: {exc}", file=sys.stderr)
         return 1
 
+    memory = MemorySystem.create()
     if result.alloc is not None:
         graph = result.physical
-        locations = result.alloc.decoded.input_locations
-        inputs = {}
-        for temp, value in raw.items():
-            loc = locations.get(temp)
-            if loc is not None:
-                inputs[(loc[1].bank, loc[1].index)] = value
+        inputs = place_inputs(result.alloc.decoded.input_locations, raw, memory)
         physical = True
     else:
         graph, inputs, physical = result.flowgraph, raw, False
 
     machine = Machine(
         graph,
+        memory=memory,
         threads=args.threads,
         physical=physical,
         input_provider=lambda tid, it: dict(inputs) if it == 0 else None,

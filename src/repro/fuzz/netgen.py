@@ -171,9 +171,7 @@ def _reference_results(comp, program: GenProgram, vector: dict) -> tuple:
     """
     raw = comp.make_inputs(**vector)
     memory = MemorySystem.create()
-    for space, chunks in (program.memory_image or {}).items():
-        for addr, words in chunks:
-            memory[space].load_words(addr, words)
+    memory.load_image(program.memory_image or {})
     machine = Machine(
         comp.flowgraph,
         memory=memory,

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.alloc.decode import place_inputs
 from repro.alloc.verify import check_solution
 from repro.cache import CompileCache, frontend_fingerprint, options_fingerprint
 from repro.compiler import (
@@ -267,14 +268,6 @@ def _snapshot_memory(memory: MemorySystem, physical: bool) -> dict:
     return out
 
 
-def _make_memory(image: dict | None) -> MemorySystem:
-    memory = MemorySystem.create()
-    for space, chunks in (image or {}).items():
-        for addr, words in chunks:
-            memory[space].load_words(addr, words)
-    return memory
-
-
 def _run_vector(
     comp: Compilation,
     config: FuzzConfig,
@@ -284,20 +277,11 @@ def _run_vector(
 ) -> Outcome:
     """Compile artifact + one input vector -> halt values and memory."""
     raw = comp.make_inputs(**vector)
-    memory = _make_memory(memory_image)
+    memory = MemorySystem.create()
+    memory.load_image(memory_image or {})
     if config.physical:
         graph = comp.physical
-        locations = comp.alloc.decoded.input_locations
-        inputs: dict = {}
-        for temp, value in raw.items():
-            loc = locations.get(temp)
-            if loc is None:
-                continue  # dead input
-            kind, where = loc
-            if kind == "reg":
-                inputs[(where.bank, where.index)] = value
-            else:
-                memory["scratch"].load_words(where, [value])
+        inputs = place_inputs(comp.alloc.decoded.input_locations, raw, memory)
     else:
         graph, inputs = comp.flowgraph, raw
     machine = Machine(

@@ -269,14 +269,6 @@ class RunResult:
     def instructions(self) -> int:
         return sum(t.instructions for t in self.thread_stats)
 
-    def throughput_mbps(self, payload_bytes: int, clock_mhz: int = CLOCK_MHZ) -> float:
-        """Bits of payload processed per second at ``clock_mhz``."""
-        if self.cycles == 0:
-            return 0.0
-        iterations = sum(t.iterations for t in self.thread_stats)
-        seconds = self.cycles / (clock_mhz * 1e6)
-        return iterations * payload_bytes * 8 / seconds / 1e6
-
 
 # --------------------------------------------------------------------------
 # Operand interning (shared with repro.ixp.codegen)

@@ -319,6 +319,12 @@ class MemorySystem:
         except KeyError:
             raise SimulatorError(f"unknown memory space '{name}'") from None
 
+    def load_image(self, image: dict[str, list[tuple[int, list[int]]]]) -> None:
+        """Preload a ``{space: [(addr, words), ...]}`` image (no cycle cost)."""
+        for space, chunks in image.items():
+            for addr, words in chunks:
+                self[space].load_words(addr, words)
+
     def add_ring(
         self, name: str, base: int, capacity: int, space: str = "scratch"
     ) -> ScratchRing:

@@ -2,10 +2,8 @@
 
 The paper's measurement context is a line card: six micro-engines drain
 receive FIFOs and scratch rings under sustained traffic (Section 11).
-The batch driver (:mod:`repro.apps.driver`) closes that loop with a
-fixed per-thread packet quota; this module replaces the quota with the
-steady-state, queue-coupled regime the paper's throughput numbers live
-in:
+This module models that queue-coupled regime, the one the paper's
+throughput numbers live in:
 
 - **N micro-engines** — N :class:`~repro.ixp.machine.Machine` instances
   interleaved on one global event clock over a *shared*
@@ -678,11 +676,17 @@ class NetRuntime:
 
         self.memory = MemorySystem.create()
         bundle = app.bundle
-        for space, chunks in bundle.memory_image.items():
-            for addr, words in chunks:
-                if space == "sdram" and addr >= bundle.payload_base:
-                    continue  # payloads are written per slot on arrival
-                self.memory[space].load_words(addr, words)
+        # Payloads are written per slot on arrival, not preloaded.
+        self.memory.load_image(
+            {
+                space: [
+                    (addr, words)
+                    for addr, words in chunks
+                    if space != "sdram" or addr < bundle.payload_base
+                ]
+                for space, chunks in bundle.memory_image.items()
+            }
+        )
         # Ring layout, downward from the top of scratch: the shared TX
         # ring, then one private RX ring per engine ("rx0".."rxN-1").
         scratch = self.memory["scratch"]
@@ -972,23 +976,19 @@ class NetRuntime:
         raw = self.comp.make_inputs(**values)
         if self.comp.alloc is None:
             return raw
-        locations = self.comp.alloc.decoded.input_locations
-        out: dict = {}
-        for temp, value in raw.items():
-            location = locations.get(temp)
-            if location is None:
-                continue
-            kind, where = location
-            if kind == "reg":
-                out[(where.bank, where.index)] = value
-            else:
-                # Spilled input: lives at an absolute scratch address
-                # shared by every thread — per-packet values would race.
-                raise SimulatorError(
-                    f"input {temp} was spilled to scratch; the streaming "
-                    "runtime needs register-resident inputs"
-                )
-        return out
+        # Imported here: repro.alloc loads the ILP stack, which a stream
+        # of virtual code never needs.
+        from repro.alloc.decode import SpilledInput, place_inputs
+
+        try:
+            return place_inputs(self.comp.alloc.decoded.input_locations, raw)
+        except SpilledInput as exc:
+            # A spilled input lives at an absolute scratch address shared
+            # by every thread: per-packet values would race.
+            raise SimulatorError(
+                f"input {exc.args[0]} was spilled to scratch; the streaming "
+                "runtime needs register-resident inputs"
+            ) from None
 
     def _worker_pull(self, now: int, worker: int) -> None:
         engine, tid = divmod(worker, self.config.threads)

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.batch import BatchError, default_jobs, merge_cache_stats
-from repro.cache import CompileCache, cache_key, cached_compile, frontend_fingerprint
-from repro.compiler import Compilation, CompileOptions
+from repro.cache import CompileCache, cache_key, frontend_fingerprint
+from repro.compiler import Compilation, CompileOptions, compile_nova
 from repro.proto import (
     MAX_LINE,
     PAYLOADS,
@@ -145,7 +145,9 @@ def _serve_unit(
 ) -> dict:
     """One pooled compile; returns a JSON-able response body.
 
-    Never raises (a raise would poison the future with an arbitrary,
+    The daemon sends a unit here only after its own disk lookup missed,
+    so the worker compiles and stores without looking again.  Never
+    raises (a raise would poison the future with an arbitrary,
     possibly unpicklable exception): failures come back as the same
     structured error shape :class:`repro.batch.BatchError` gives batch
     units.
@@ -154,10 +156,11 @@ def _serve_unit(
     cache = CompileCache(cache_dir, tracer)
     start = time.perf_counter()
     try:
-        comp, state = cached_compile(source, filename, options, cache, tracer)
+        comp = compile_nova(source, filename, options, tracer=tracer)
+        cache.put(source, options, comp)
         body = {
             "ok": True,
-            "cache": state,
+            "cache": "miss",
             "payload": _render_payload(comp, payload_kind, filename),
             "summary": _summarize(comp),
         }

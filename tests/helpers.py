@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from repro.alloc.decode import place_inputs
 from repro.compiler import CompileOptions, Compilation, compile_nova
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
 
 MemoryImage = dict[str, list[tuple[int, list[int]]]]
+
+#: ``main`` with more one-word parameters than the A and B banks hold:
+#: the allocator leaves some inputs in scratch slots.  It returns the
+#: sum of its parameters, 630 for ``p_i = i``.
+SPILLED_PARAMS = [f"p{i}" for i in range(36)]
+SPILLED_INPUTS_SOURCE = (
+    f"fun main ({', '.join(SPILLED_PARAMS)}) {{ {' + '.join(SPILLED_PARAMS)} }}"
+)
 
 
 def compile_virtual(source: str) -> Compilation:
@@ -33,9 +42,7 @@ def compile_full(
 
 def make_memory(image: MemoryImage | None = None) -> MemorySystem:
     memory = MemorySystem.create()
-    for space, chunks in (image or {}).items():
-        for addr, words in chunks:
-            memory[space].load_words(addr, words)
+    memory.load_image(image or {})
     return memory
 
 
@@ -77,18 +84,9 @@ def run_physical(
     """Run the allocated (physical) flowgraph with source-named inputs."""
     assert comp.alloc is not None
     memory = make_memory(memory_image)
-    raw = comp.make_inputs(**inputs)
-    locations = comp.alloc.decoded.input_locations
-    physical_inputs: dict = {}
-    for temp, value in raw.items():
-        loc = locations.get(temp)
-        if loc is None:
-            continue
-        kind, where = loc
-        if kind == "reg":
-            physical_inputs[(where.bank, where.index)] = value
-        else:
-            memory["scratch"].load_words(where, [value])
+    physical_inputs = place_inputs(
+        comp.alloc.decoded.input_locations, comp.make_inputs(**inputs), memory
+    )
 
     def provider(tid: int, iteration: int):
         if iteration >= iterations:

@@ -236,13 +236,10 @@ class TestBaseline:
         memory = MemorySystem.create()
         memory["sram"].load_words(0, [5, 6])
         from repro.alloc.baseline import baseline_input_locations
+        from repro.alloc.decode import place_inputs
 
         locations = baseline_input_locations(comp.flowgraph, result)
-        inputs = {}
-        for temp, value in comp.make_inputs(b=0).items():
-            loc = locations.get(temp)
-            if loc is not None:
-                inputs[(loc[1].bank, loc[1].index)] = value
+        inputs = place_inputs(locations, comp.make_inputs(b=0), memory)
         machine = Machine(
             result.physical,
             memory=memory,

@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.helpers import SPILLED_INPUTS_SOURCE, SPILLED_PARAMS, compile_full
+
 SOURCE = """
 layout h = { a : 8, b : 24 };
 fun main (x) {
@@ -145,6 +147,18 @@ def test_run_flag(program, capsys):
 def test_run_flag_virtual(program, capsys):
     assert main(["--virtual", "--run", "x=0", program]) == 0
     assert "thread 0: (0x0)" in capsys.readouterr().out
+
+
+def test_run_flag_spilled_inputs(tmp_path, capsys):
+    """Inputs the allocator left in scratch slots are written there."""
+    comp = compile_full(SPILLED_INPUTS_SOURCE)
+    kinds = [kind for kind, _ in comp.alloc.decoded.input_locations.values()]
+    assert "slot" in kinds
+    path = tmp_path / "spilled.nova"
+    path.write_text(SPILLED_INPUTS_SOURCE)
+    values = ",".join(f"{name}={i}" for i, name in enumerate(SPILLED_PARAMS))
+    assert main(["--run", values, str(path)]) == 0
+    assert "thread 0: (0x276)" in capsys.readouterr().out
 
 
 def test_run_flag_bad_inputs(program, capsys):

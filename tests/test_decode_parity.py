@@ -13,6 +13,7 @@ import dataclasses
 
 import pytest
 
+from repro.alloc.decode import place_inputs
 from repro.compiler import CompileOptions, compile_nova
 from repro.errors import SimulatorError
 from repro.fuzz.gen import GenConfig, generate
@@ -46,17 +47,9 @@ def _observe(comp, physical, raw_inputs, memory_image, mode, tracer=None):
     memory = make_memory(memory_image)
     if physical:
         graph = comp.physical
-        locations = comp.alloc.decoded.input_locations
-        inputs: dict = {}
-        for temp, value in raw_inputs.items():
-            loc = locations.get(temp)
-            if loc is None:
-                continue
-            kind, where = loc
-            if kind == "reg":
-                inputs[(where.bank, where.index)] = value
-            else:
-                memory["scratch"].load_words(where, [value])
+        inputs = place_inputs(
+            comp.alloc.decoded.input_locations, raw_inputs, memory
+        )
     else:
         graph, inputs = comp.flowgraph, raw_inputs
     machine = Machine(

@@ -63,6 +63,7 @@ class TestSpillSequencesUnit:
         return comp, decoded_sol, result
 
     def test_forced_spill_roundtrips(self):
+        from repro.alloc.decode import place_inputs
         from repro.ixp.machine import Machine
         from repro.ixp.memory import MemorySystem
 
@@ -73,12 +74,9 @@ class TestSpillSequencesUnit:
         # Run the decoded code: semantics must hold despite the detour.
         memory = MemorySystem.create()
         memory["sram"].load_words(0, [100, 1, 2, 3, 4, 5, 6, 7, 8])
-        locations = result.input_locations
-        inputs = {}
-        for temp, value in comp.make_inputs(b=0).items():
-            loc = locations.get(temp)
-            if loc is not None:
-                inputs[(loc[1].bank, loc[1].index)] = value
+        inputs = place_inputs(
+            result.input_locations, comp.make_inputs(b=0), memory
+        )
         machine = Machine(
             result.graph,
             memory=memory,

@@ -14,6 +14,8 @@ from repro.ilp import solve as solve_mod
 from repro.ilp.solve import SolveOptions
 from repro.trace import Tracer
 
+from tests.helpers import run_physical
+
 SOURCE = """
 layout h = { a : 8, b : 24 };
 fun main (x) {
@@ -45,24 +47,10 @@ def test_forced_timeout_degrades_to_baseline():
 
 
 def test_baseline_fallback_runs_on_the_simulator():
-    from repro.ixp.machine import Machine
-
     result = compile_nova(SOURCE, options=_options())
-    locations = result.alloc.decoded.input_locations
-    raw = result.make_inputs(x=0x45001234)
-    inputs = {}
-    for temp, value in raw.items():
-        loc = locations.get(temp)
-        if loc is not None:
-            inputs[(loc[1].bank, loc[1].index)] = value
-    machine = Machine(
-        result.physical,
-        physical=True,
-        input_provider=lambda tid, it: dict(inputs) if it == 0 else None,
-    )
-    run = machine.run()
+    results, _ = run_physical(result, x=0x45001234)
     # a=0x45, b=0x001234 -> 0x1279, same as the ILP-allocated program.
-    assert run.results[0][1] == (0x1279,)
+    assert results == [(0x1279,)]
 
 
 def test_fallback_disabled_raises():

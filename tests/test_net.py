@@ -1,9 +1,10 @@
 """Streaming-runtime behaviour: backpressure, drops, determinism,
-sink validation, and the throughput zero-division guards.
+sink validation, the refusal of spilled inputs, and the throughput
+zero-division guard.
 
-Everything here runs *virtual* (pre-allocation) compilations — fully
-deterministic, no ILP solve — through small NAT/Kasumi streams; the
-allocated path is exercised end to end by
+Everything else here runs *virtual* (pre-allocation) compilations —
+fully deterministic, no ILP solve — through small NAT/Kasumi streams;
+the allocated path is exercised end to end by
 ``benchmarks/test_net_throughput.py``.
 """
 
@@ -12,12 +13,13 @@ import dataclasses
 
 import pytest
 
-from repro.apps.driver import ThroughputResult
+from repro.apps.aes_nova import AppBundle
 from repro.errors import SimulatorError
-from repro.ixp.machine import RunResult, ThreadStats
 from repro.ixp.net import (
     NetConfig,
     NetRuntime,
+    StreamApp,
+    StreamPacket,
     StreamResult,
     TraceEvent,
     capture_trace,
@@ -27,7 +29,12 @@ from repro.ixp.net import (
 )
 from repro.trace import Tracer
 
-from tests.helpers import compile_virtual
+from tests.helpers import (
+    SPILLED_INPUTS_SOURCE,
+    SPILLED_PARAMS,
+    compile_full,
+    compile_virtual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -358,24 +365,32 @@ def test_truncation_by_cycle_budget(nat_stream):
     assert result.cycles <= 2000 + 5000  # last slice may overshoot a bit
 
 
-# -- throughput zero-division guards (the driver dataclass used to
-#    divide by run.cycles unguarded) --------------------------------------
+def test_spilled_input_is_refused():
+    """A spilled input lives at one scratch address that every thread
+    shares, so per-packet values would race: the runtime refuses it."""
+    comp = compile_full(SPILLED_INPUTS_SOURCE)
+    inputs = {name: i for i, name in enumerate(SPILLED_PARAMS)}
+
+    def generate(rng, seq):
+        return StreamPacket(
+            seq=seq, payload_words=[0], payload_bytes=4, inputs=inputs,
+            expected_results=(630,), expected_words=[0],
+        )
+
+    bundle = AppBundle("spilled", SPILLED_INPUTS_SOURCE)
+    app = StreamApp("spilled", bundle, comp, 1, generate)
+    # Small rings keep the ring layout clear of the spill slots.
+    config = NetConfig(engines=1, threads=1, packets=1, arrival="backlog",
+                       rx_capacity=4, tx_capacity=4)
+    with pytest.raises(
+        SimulatorError,
+        match="was spilled to scratch; the streaming runtime needs "
+        "register-resident inputs",
+    ):
+        run_stream(app, config)
 
 
-def _empty_run() -> RunResult:
-    return RunResult(cycles=0, thread_stats=[ThreadStats()], results=[])
-
-
-def test_throughput_result_mbps_zero_cycles():
-    result = ThroughputResult(
-        run=_empty_run(), payload_bytes=64, packets=0, threads=1
-    )
-    assert result.mbps == 0.0
-    assert result.cycles_per_packet == 0.0
-
-
-def test_run_result_throughput_zero_cycles():
-    assert _empty_run().throughput_mbps(64) == 0.0
+# -- throughput zero-division guard --------------------------------------
 
 
 def test_stream_result_mbps_zero_cycles():

@@ -1,5 +1,6 @@
 """Tests for the Section 12 constant-rematerialization extension."""
 
+from repro.alloc.decode import place_inputs
 from repro.alloc.remat import const_temps_of, immed_cost, lift_constants
 from repro.compiler import CompileOptions, compile_nova
 from repro.ixp import isa
@@ -30,12 +31,7 @@ def compile_remat(source, remat=True):
 def run_allocated(comp, memory_image, **inputs):
     memory = make_memory(memory_image)
     raw = comp.make_inputs(**inputs)
-    locations = comp.alloc.decoded.input_locations
-    pinned = {}
-    for temp, value in raw.items():
-        loc = locations.get(temp)
-        if loc is not None:
-            pinned[(loc[1].bank, loc[1].index)] = value
+    pinned = place_inputs(comp.alloc.decoded.input_locations, raw, memory)
     machine = Machine(
         comp.physical,
         memory=memory,

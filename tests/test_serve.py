@@ -221,6 +221,13 @@ class TestOperations:
         assert stats["clients"]["p50_ms"] > 0
         assert isinstance(stats["workers"], list)
 
+    def test_cold_compile_looks_the_disk_up_once(self, server):
+        with ServeClient.connect(server.socket) as client:
+            assert client.compile_source(GOOD)["cache"] == "miss"
+            stats = client.stats()["cache"]
+        assert stats["misses"] == 1
+        assert stats["writes"] == 1
+
     def test_worker_crash_is_survivable(self, server):
         with ServeClient.connect(server.socket) as client:
             crashed = client.crash_worker()
