@@ -2,7 +2,9 @@
 
 Boots ``novac serve`` as a real subprocess on a temp Unix socket,
 compiles the same example twice (miss, then hot/hit with a lower
-server-side latency), checks the stats surface, then drain-shuts the
+server-side latency), then once more with the solver's time limit
+edited (a miss that must reuse the first miss's proven optimum and
+return its payload), checks the stats surface, then drain-shuts the
 daemon and verifies a clean exit with no orphaned pool workers.
 
 Run from the repo root::
@@ -23,6 +25,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.client import ServeClient, try_connect  # noqa: E402
+from repro.compiler import CompileOptions  # noqa: E402
 
 
 def fail(message: str) -> None:
@@ -79,6 +82,29 @@ def main() -> None:
                 print(
                     f"serve_smoke: miss {first_ms}ms -> "
                     f"{second['cache']} {second_ms}ms"
+                )
+
+                # A solver-budget edit leaves the ILP unchanged: its miss
+                # must reuse the first miss's proven optimum, not solve.
+                edited = CompileOptions()
+                edited.alloc.solve.time_limit = 300.0
+                third = client.compile_source(
+                    source, "classify.nova", options=edited, trace=True
+                )
+                if third["cache"] != "miss":
+                    fail(f"time-limit edit was {third['cache']}, expected miss")
+                if third["payload"] != first["payload"]:
+                    fail("time-limit edit's payload differs from the first miss's")
+                outcomes = [
+                    span["counters"].get("outcome")
+                    for span in third["spans"]
+                    if span["name"] == "portfolio.warm_start"
+                ]
+                if outcomes != ["reused"]:
+                    fail(f"time-limit edit's warm start was {outcomes}, not reused")
+                print(
+                    f"serve_smoke: time-limit edit miss "
+                    f"{third['server']['ms']}ms, optimum reused"
                 )
 
                 stats = client.stats()

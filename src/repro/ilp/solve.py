@@ -16,11 +16,13 @@ solve when someone will read the number — a tracer is active or
 report it and the extra solve is pure measurement overhead otherwise.
 
 Warm starts: when :attr:`SolveOptions.hint_dir` and ``hint_key`` are
-set, :func:`solve_model` looks up a prior solution in a
-:class:`~repro.ilp.hints.HintStore`, validates it against the model,
-and hands it to the engine — ``highs`` as an objective-bound cut,
-``bnb`` as its starting incumbent — then records every usable result
-for the next solve.
+set, :func:`solve_model` consults a :class:`~repro.ilp.hints.HintStore`.
+A proven optimum of the identical model (same standard form, engine,
+gap and scipy) is returned without a solve.  Otherwise a prior solution
+under ``hint_key`` is validated against the model and handed to the
+engine — ``highs`` as an objective-bound cut, ``bnb`` as its starting
+incumbent.  Every usable result is recorded under ``hint_key`` for the
+next solve, and a cold solve's optimum also by content.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.ilp.hints import HintStore, hint_incumbent
+from repro.ilp.hints import (
+    HintStore,
+    hint_incumbent,
+    reused_optimum,
+    solve_digest,
+)
 from repro.ilp.model import Model, Solution
 from repro.trace import ensure
 
@@ -135,15 +142,20 @@ def solve_model(
     if model.num_vars == 0:
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
     with tracer.span("solve", engine=options.engine) as sp:
-        store, warm = _warm_start(model, options, tracer)
-        if options.engine == "bnb":
+        store, digest, reused, warm = _warm_start(model, options, tracer)
+        if reused is not None:
+            solution = reused
+        elif options.engine == "bnb":
             solution = _solve_bnb(model, options, incumbent=warm)
         else:
             solution = _solve_highs(
                 model, options, tracer, upper_bound=warm[0] if warm else None
             )
-        if store is not None and solution.usable:
+        if store is not None and reused is None and solution.usable:
             store.save(options.hint_key, model, solution)
+            # Only a cold solve's optimum is what a cold solve returns.
+            if warm is None and solution.status == "optimal":
+                store.save_optimum(digest, solution)
         if sp:
             sp.add(
                 rows=len(model.constraints),
@@ -160,31 +172,42 @@ def solve_model(
 
 
 def _warm_start(model: Model, options: SolveOptions, tracer):
-    """Look up and validate a warm-start hint; (store, incumbent|None).
+    """Look up a proven optimum, then a warm-start hint.
 
-    Both are None unless ``options`` names a hint store and key.  The
-    span keeps its historical ``portfolio.warm_start`` name, which
-    existing trace consumers read.
+    Returns ``(store, digest, reused, incumbent)``: the store and the
+    model's :func:`~repro.ilp.hints.solve_digest`, the stored optimum
+    of this identical model as a :class:`Solution` or None, and else a
+    validated hint's ``(objective, x)`` or None.  All four are None
+    unless ``options`` names a hint store and key.  The span keeps its
+    historical ``portfolio.warm_start`` name, which existing trace
+    consumers read.
     """
     if not options.hint_dir or not options.hint_key:
-        return None, None
+        return None, None, None, None
     store = HintStore(options.hint_dir)
     with tracer.span(
         "portfolio.warm_start", key=options.hint_key[:12]
     ) as sp:
-        hint = store.load(options.hint_key)
-        warm = hint_incumbent(model, hint) if hint is not None else None
-        if hint is None:
-            outcome = "none"
-        elif warm is None:
-            outcome = "stale"  # structurally incompatible or infeasible
+        digest = solve_digest(model, options.engine, options.gap)
+        entry = store.load_optimum(digest)
+        reused = reused_optimum(model, entry) if entry is not None else None
+        warm = None
+        if reused is not None:
+            outcome = "reused"
         else:
-            outcome = "seeded"
+            hint = store.load(options.hint_key)
+            warm = hint_incumbent(model, hint) if hint is not None else None
+            if hint is None:
+                outcome = "none"
+            elif warm is None:
+                outcome = "stale"  # structurally incompatible or infeasible
+            else:
+                outcome = "seeded"
         if sp:
             sp.add(outcome=outcome)
             if warm is not None:
                 sp.add(incumbent=warm[0])
-    return store, warm
+    return store, digest, reused, warm
 
 
 #: :func:`scipy.optimize.milp` status codes → :class:`Solution` statuses

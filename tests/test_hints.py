@@ -1,5 +1,6 @@
 """Warm starts: `repro.ilp.hints` and the hint lookup in `solve_model`."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,22 +8,51 @@ import pytest
 from repro.alloc.allocator import AllocOptions, allocate
 from repro.cache import frontend_fingerprint
 from repro.compiler import CompileOptions, compile_nova
-from repro.ilp.hints import HINT_FORMAT, HintStore, hint_incumbent
+from repro.ilp.hints import (
+    HINT_FORMAT,
+    HintStore,
+    hint_incumbent,
+    solve_digest,
+)
 from repro.ilp.model import Model
 from repro.ilp.solve import ENGINES, SolveOptions, solve_model
 from repro.trace import Tracer
 
 
-def assignment_model(n=4):
-    """n×n one-to-one assignment; unique optimum on distinct costs."""
+def assignment_model(n=4, shift=0):
+    """n×n one-to-one assignment; unique optimum on distinct costs.
+
+    ``shift`` changes only the objective, so an optimum of one shift is
+    a feasible warm start for another.
+    """
     m = Model("assign")
     x = m.family("x")
     for i in range(n):
         m.add_sum_eq([x[(i, j)] for j in range(n)], 1)
     for j in range(n):
         m.add_sum_eq([x[(i, j)] for i in range(n)], 1)
-    m.minimize({x[(i, j)]: (i * n + j) % 7 + 1 for i in range(n) for j in range(n)})
+    m.minimize(
+        {
+            x[(i, j)]: (i * n + j + shift) % 7 + 1
+            for i in range(n)
+            for j in range(n)
+        }
+    )
     return m
+
+
+def triangle_cover_model():
+    """Vertex cover of a triangle: LP bound 1.5 at all-halves, optimum 2."""
+    m = Model("triangle")
+    x = m.family("x")
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        m.add({x[(i,)]: 1.0, x[(j,)]: 1.0}, ">=", 1)
+    m.minimize({x[(i,)]: 1.0 for i in range(3)})
+    return m
+
+
+def outcome(tracer):
+    return tracer.get("portfolio.warm_start").counters["outcome"]
 
 
 def hinted(tmp_path, engine="highs"):
@@ -42,15 +72,20 @@ class TestHints:
     def test_store_roundtrip_and_seeded_warm_start(self, tmp_path):
         options = hinted(tmp_path)
         tracer = Tracer()
-        cold = solve_model(assignment_model(), options, tracer)
+        first = solve_model(assignment_model(), options, tracer)
         assert tracer.get("portfolio.warm_start").counters["outcome"] == "none"
         assert HintStore(options.hint_dir).load(options.hint_key) is not None
 
+        # Only the objective differs, so the model is not the one whose
+        # optimum was recorded, and the first optimum seeds its solve.
+        perturbed = assignment_model(shift=1)
+        cold = solve_model(assignment_model(shift=1), SolveOptions())
         warm_tracer = Tracer()
-        warm = solve_model(assignment_model(), options, warm_tracer)
+        warm = solve_model(perturbed, options, warm_tracer)
         ws = warm_tracer.get("portfolio.warm_start")
         assert ws.counters["outcome"] == "seeded"
-        assert ws.counters["incumbent"] == pytest.approx(cold.objective)
+        c = perturbed.standard_form()[0]
+        assert ws.counters["incumbent"] == pytest.approx(c @ first.values)
         assert warm.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective)
 
@@ -87,7 +122,9 @@ class TestHints:
         m.minimize({x: 1.0})
         options = hinted(tmp_path)
         assert solve_model(m, options).status == "infeasible"
-        assert HintStore(options.hint_dir).load(options.hint_key) is None
+        store = HintStore(options.hint_dir)
+        assert store.load(options.hint_key) is None
+        assert store.load_optimum(solve_digest(m, "highs", options.gap)) is None
 
     def test_incumbent_maps_by_name_and_validates(self):
         m = assignment_model()
@@ -145,6 +182,109 @@ class TestHints:
         assert solution.objective == pytest.approx(reference.objective)
 
 
+class TestReuse:
+    """Proven optima of an identical model are returned without a solve."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_identical_model_is_reused_without_a_solve(
+        self, engine, tmp_path, monkeypatch
+    ):
+        options = hinted(tmp_path, engine)
+        cold = solve_model(assignment_model(), options)
+        assert cold.status == "optimal"
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a reused optimum must not call the solver")
+
+        monkeypatch.setattr("scipy.optimize.milp", no_solve)
+        monkeypatch.setattr("scipy.optimize.linprog", no_solve)
+        # Another budget and another hint key: neither is in the digest.
+        again = SolveOptions(
+            engine=engine,
+            time_limit=1.0,
+            hint_dir=options.hint_dir,
+            hint_key="cd" * 32,
+        )
+        tracer = Tracer()
+        reused = solve_model(assignment_model(), again, tracer)
+        assert outcome(tracer) == "reused"
+        assert reused.status == "optimal"
+        assert reused.objective == cold.objective
+        assert reused.gap == cold.gap
+        assert (reused.values == cold.values).all()
+        assert tracer.get("solve").counters["nodes"] == 0
+        # A reuse is a lookup: it records no hint of its own.
+        assert HintStore(options.hint_dir).load(again.hint_key) is None
+
+    def test_no_reuse_across_engine_gap_or_scipy_version(
+        self, tmp_path, monkeypatch
+    ):
+        import scipy
+
+        options = hinted(tmp_path)
+        solve_model(assignment_model(), options)
+        for variant in (
+            dataclasses.replace(options, engine="bnb"),
+            dataclasses.replace(options, gap=1e-3),
+        ):
+            tracer = Tracer()
+            solve_model(assignment_model(), variant, tracer)
+            assert outcome(tracer) == "seeded"
+        monkeypatch.setattr(scipy, "__version__", scipy.__version__ + "+other")
+        tracer = Tracer()
+        solve_model(assignment_model(), options, tracer)
+        assert outcome(tracer) == "seeded"
+
+    def test_no_reuse_after_a_seeded_solve(self, tmp_path):
+        options = hinted(tmp_path)
+        solve_model(assignment_model(), options)
+        for _ in range(2):
+            tracer = Tracer()
+            seeded = solve_model(assignment_model(shift=1), options, tracer)
+            assert outcome(tracer) == "seeded"
+            assert seeded.status == "optimal"
+        digest = solve_digest(assignment_model(shift=1), "highs", options.gap)
+        assert HintStore(options.hint_dir).load_optimum(digest) is None
+
+    def test_no_reuse_after_a_non_optimal_solve(self, tmp_path):
+        # Two nodes find the optimum's point but not its proof.
+        options = dataclasses.replace(hinted(tmp_path, "bnb"), node_limit=2)
+        starved = solve_model(triangle_cover_model(), options)
+        assert starved.status == "timeout" and starved.usable
+        tracer = Tracer()
+        full = dataclasses.replace(options, node_limit=200_000)
+        assert solve_model(triangle_cover_model(), full, tracer).status == "optimal"
+        assert outcome(tracer) == "seeded"
+        digest = solve_digest(triangle_cover_model(), "bnb", options.gap)
+        assert HintStore(options.hint_dir).load_optimum(digest) is None
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: dict(doc, objective=doc["objective"] + 1.0),
+            lambda doc: dict(doc, ones=doc["ones"][1:]),  # violates a row
+            lambda doc: dict(doc, ones=doc["ones"] + [10**6]),
+            lambda doc: dict(doc, ones=[str(v) for v in doc["ones"]]),
+            lambda doc: dict(doc, format=doc["format"] + 1),
+            lambda doc: "not json {",
+        ],
+        ids=["objective", "infeasible", "index", "type", "format", "corrupt"],
+    )
+    def test_tampered_entry_is_not_reused(self, tamper, tmp_path):
+        options = hinted(tmp_path)
+        cold = solve_model(assignment_model(), options)
+        store = HintStore(options.hint_dir)
+        path = store.optimum_path(
+            solve_digest(assignment_model(), "highs", options.gap)
+        )
+        doc = tamper(json.loads(path.read_text()))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        tracer = Tracer()
+        again = solve_model(assignment_model(), options, tracer)
+        assert outcome(tracer) == "seeded"
+        assert again.objective == pytest.approx(cold.objective)
+
+
 SOURCE = """
 layout h = { a : 8, b : 24 };
 fun main (x) {
@@ -174,8 +314,11 @@ class TestEndToEnd:
     def test_fallback_bnb_retry_is_warm(self, tmp_path):
         # Zero budgets: highs stops before finding a solution, and so
         # would bnb — unless the chain's retry starts from the hint.
+        # Another A-bank bias changes only the objective, so the starved
+        # model has no proven optimum of its own and the hint seeds it.
         compile_nova(SOURCE, options=hinted_compile(tmp_path))
         starved = hinted_compile(tmp_path)
+        starved.alloc.model.a_bank_bias = 1.02
         starved.alloc.solve.time_limit = 0.0
         starved.alloc.fallback_time_limit = 0.0
         tracer = Tracer()
@@ -188,9 +331,38 @@ class TestEndToEnd:
         assert [s.counters["outcome"] for s in lookups] == ["seeded"] * 2
         # Without a hint the same budgets end at the baseline allocator.
         cold = CompileOptions()
+        cold.alloc.model.a_bank_bias = 1.02
         cold.alloc.solve.time_limit = 0.0
         cold.alloc.fallback_time_limit = 0.0
         assert compile_nova(SOURCE, options=cold).alloc.fallback == "baseline"
+
+    def test_starved_recompile_of_an_unchanged_model_is_reused(self, tmp_path):
+        # The same zero budgets on the unchanged model: its proven
+        # optimum answers without a solve, so nothing falls back.
+        first = compile_nova(SOURCE, options=hinted_compile(tmp_path))
+        starved = hinted_compile(tmp_path)
+        starved.alloc.solve.time_limit = 0.0
+        starved.alloc.fallback_time_limit = 0.0
+        tracer = Tracer()
+        comp = compile_nova(SOURCE, options=starved, tracer=tracer)
+        assert comp.alloc.fallback is None
+        assert comp.alloc.status == "optimal"
+        lookups = [s for s in tracer.spans if s.name == "portfolio.warm_start"]
+        assert [s.counters["outcome"] for s in lookups] == ["reused"]
+        assert comp.physical.pretty() == first.physical.pretty()
+
+    def test_comment_only_edit_is_reused(self, tmp_path):
+        # A comment changes the source, and with it the daemon's hint
+        # key, but not the model: its proven optimum answers by content.
+        compile_nova(SOURCE, options=hinted_compile(tmp_path))
+        edited_source = SOURCE + "// a comment\n"
+        edited = hinted_compile(tmp_path)
+        edited.alloc.solve.hint_key = "01" * 32
+        tracer = Tracer()
+        comp = compile_nova(edited_source, options=edited, tracer=tracer)
+        assert outcome(tracer) == "reused"
+        local = compile_nova(edited_source)
+        assert comp.physical.pretty() == local.physical.pretty()
 
 
 class TestEngineValidation:

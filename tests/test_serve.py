@@ -2,6 +2,7 @@
 
 import asyncio
 import math
+import pathlib
 import random
 import threading
 import time
@@ -33,6 +34,8 @@ fun main (x, y) {
 """
 
 BAD_TYPE = "fun main (x) { y }"  # unbound variable
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -186,6 +189,25 @@ class TestCompileTiers:
         assert spans["solve"]["counters"]["engine"] == "highs"
         local = compile_nova(GOOD, options=variant)
         assert body["summary"]["alloc"]["moves"] == local.alloc.moves
+
+    def test_time_limit_edit_returns_the_in_process_payload(self, server):
+        # A solver budget is not part of the ILP, so the edit's miss
+        # reuses the first miss's proven optimum instead of a seeded
+        # solve that may land on another optimal tie.
+        source = (ROOT / "examples" / "classify.nova").read_text()
+        edited = CompileOptions()
+        edited.alloc.solve.time_limit = 300.0
+        with ServeClient.connect(server.socket) as client:
+            first = client.compile_source(source, "classify.nova")
+            body = client.compile_source(
+                source, "classify.nova", options=edited, trace=True
+            )
+        assert first["cache"] == body["cache"] == "miss"
+        local = compile_nova(source, "classify.nova", options=edited)
+        assert body["payload"] == local.physical.pretty()
+        assert body["payload"] == first["payload"]
+        spans = {sp["name"]: sp for sp in body["spans"]}
+        assert spans["portfolio.warm_start"]["counters"]["outcome"] == "reused"
 
     def test_daemon_shares_the_in_process_disk_cache(self, server):
         # The daemon adds only fingerprint-excluded hint fields to the
