@@ -36,11 +36,12 @@ import math
 import os
 import tempfile
 from pathlib import Path
-
-import numpy as np
-import scipy
+from typing import TYPE_CHECKING
 
 from repro.ilp.model import Model, Solution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Constraint-row tolerance when validating a stored point against a model.
 FEAS_TOL = 1e-6
@@ -115,6 +116,8 @@ class HintStore:
 
     def save_optimum(self, digest: str, solution: Solution) -> None:
         """Record a cold solve's proven optimum by variable index; atomic."""
+        import numpy as np
+
         _write(
             self.optimum_path(digest),
             {
@@ -165,6 +168,9 @@ def solve_digest(model: Model, engine: str, gap: float) -> str:
     The time and node budgets are left out: a solve that ends
     ``optimal`` never reached them, so they did not shape its answer.
     """
+    import numpy as np
+    import scipy
+
     c, matrix, lb, ub = model.standard_form()
     digest = hashlib.sha256(
         f"{OPTIMUM_FORMAT} {engine} {gap!r} {scipy.__version__} "
@@ -178,6 +184,8 @@ def solve_digest(model: Model, engine: str, gap: float) -> str:
 
 def _checked_point(model: Model, x: np.ndarray) -> float | None:
     """``c @ x`` when ``x`` satisfies every constraint row, else None."""
+    import numpy as np
+
     c, matrix, lb, ub = model.standard_form()
     if len(model.constraints):
         row = matrix @ x
@@ -195,6 +203,8 @@ def reused_optimum(model: Model, entry: dict) -> Solution | None:
     The solution reports the stored objective and gap, as the cold
     solve did, and zero nodes and seconds.
     """
+    import numpy as np
+
     x = np.zeros(model.num_vars)
     ones = entry["ones"]
     if ones and (min(ones) < 0 or max(ones) >= model.num_vars):
@@ -220,6 +230,8 @@ def hint_incumbent(
     against every constraint row.  The objective is recomputed from the
     model's own cost vector — the stored value is advisory only.
     """
+    import numpy as np
+
     names = {model.name_of(var): var for var in range(model.num_vars)}
     x = np.zeros(model.num_vars)
     for name in hint["ones"]:

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-from scipy import sparse
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -163,11 +164,17 @@ class Model:
         solves one model under several engines, and the sparse-matrix
         conversion is a large share of small-model solve time.  Callers
         must treat the returned arrays as read-only.
+
+        The first call in a process imports numpy and scipy: building a
+        model needs neither, so only a process that solves pays for them.
         """
         key = (self._mutations, id(self.objective))
         cached = self._standard_cache
         if cached is not None and cached[0] == key:
             return cached[1]
+        import numpy as np
+        from scipy import sparse
+
         rows: list[int] = []
         cols: list[int] = []
         data: list[float] = []

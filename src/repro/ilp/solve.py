@@ -23,6 +23,10 @@ under ``hint_key`` is validated against the model and handed to the
 engine — ``highs`` as an objective-bound cut, ``bnb`` as its starting
 incumbent.  Every usable result is recorded under ``hint_key`` for the
 next solve, and a cold solve's optimum also by content.
+
+numpy and scipy are imported by the functions that use them, not by this
+module: every process that builds a :class:`CompileOptions` imports
+:class:`SolveOptions`, and only the ones that solve need the libraries.
 """
 
 from __future__ import annotations
@@ -30,9 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import optimize, sparse
+from typing import TYPE_CHECKING
 
 from repro.ilp.hints import (
     HintStore,
@@ -42,6 +44,9 @@ from repro.ilp.hints import (
 )
 from repro.ilp.model import Model, Solution
 from repro.trace import ensure
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The solver engines :func:`solve_model` accepts.
 ENGINES = ("highs", "bnb")
@@ -78,6 +83,9 @@ def solve_root_relaxation(model: Model) -> tuple[float, float, np.ndarray]:
 
 
 def _root_relaxation(c, matrix, lb, ub, num_vars):
+    import numpy as np
+    from scipy import optimize
+
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
     a_eq, b_eq = _eq_matrix(matrix, lb, ub)
     start = time.perf_counter()
@@ -97,6 +105,8 @@ def _root_relaxation(c, matrix, lb, ub, num_vars):
 
 
 def _split_rows(matrix, lb, ub):
+    import numpy as np
+
     eq_rows = np.where(lb == ub)[0]
     le_rows = np.where((ub < np.inf) & (lb != ub))[0]
     ge_rows = np.where((lb > -np.inf) & (lb != ub))[0]
@@ -104,6 +114,9 @@ def _split_rows(matrix, lb, ub):
 
 
 def _ub_matrix(matrix, lb, ub):
+    import numpy as np
+    from scipy import sparse
+
     _, le_rows, ge_rows = _split_rows(matrix, lb, ub)
     parts = []
     rhs = []
@@ -124,6 +137,18 @@ def _eq_matrix(matrix, lb, ub):
     return matrix[eq_rows], ub[eq_rows]
 
 
+def load_solver_stack() -> None:
+    """Import numpy and the parts of scipy the engines call, now.
+
+    The first solve in a process would import them anyway.  A process
+    that forks compile workers calls this before it accepts work, so
+    every worker starts with the stack loaded (:mod:`repro.serve`).
+    """
+    import numpy  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse  # noqa: F401
+
+
 def check_engine(engine: str) -> None:
     """Raise :class:`ValueError` unless ``engine`` is in :data:`ENGINES`."""
     if engine not in ENGINES:
@@ -140,6 +165,8 @@ def solve_model(
     check_engine(options.engine)
     tracer = ensure(tracer)
     if model.num_vars == 0:
+        import numpy as np
+
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
     with tracer.span("solve", engine=options.engine) as sp:
         store, digest, reused, warm = _warm_start(model, options, tracer)
@@ -229,6 +256,9 @@ def _solve_highs(
     constraint row — HiGHS prunes everything above it without being told
     the incumbent itself (scipy exposes no warm-start API).
     """
+    import numpy as np
+    from scipy import optimize, sparse
+
     c, matrix, lb, ub = model.standard_form()
     # milp does not report the root-relaxation time; measure it with a
     # dedicated LP solve only when the number will actually be read.
@@ -329,6 +359,9 @@ def _solve_bnb(
     and when the root LP bound already proves the incumbent within the
     gap the search terminates after a single LP solve.
     """
+    import numpy as np
+    from scipy import optimize
+
     c, matrix, lb, ub = model.standard_form()
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
     a_eq, b_eq = _eq_matrix(matrix, lb, ub)

@@ -2,26 +2,31 @@
 
 One long-lived process owns what every ad-hoc ``novac`` invocation pays
 for from scratch: a shared :class:`repro.cache.CompileCache`, a warm
-:class:`~concurrent.futures.ProcessPoolExecutor` of compile workers
-(imports and scipy already loaded), a hot in-memory LRU of rendered
-responses, and the :class:`repro.ilp.hints.HintStore` that warm-starts
-the allocation ILP on cache misses.
+:class:`~concurrent.futures.ProcessPoolExecutor` of compile workers, a
+hot in-memory LRU of rendered responses, and the
+:class:`repro.ilp.hints.HintStore` that warm-starts the allocation ILP on
+cache misses.  Importing this module loads neither numpy nor scipy;
+:meth:`CompileServer.run` loads them before it accepts work, so the
+workers, forked from the daemon, start with the solver stack imported.
 
 The daemon is a stdlib-``asyncio`` socket server speaking the
 newline-JSON protocol of :mod:`repro.proto` over a Unix socket (or TCP
 for tests/containers).  A compile request walks three tiers::
 
-    hot LRU (rendered response, sub-ms)
+    hot LRU (rendered response, sub-ms; keyed by the request itself)
       → disk cache (unpickle an artifact, a few ms)
         → worker pool (full compile; the allocation ILP is
           warm-started from the nearest prior solution)
 
-The tiers are keyed by :func:`repro.cache.cache_key` of the client's
-sparse options.  The one thing the daemon adds to them, once a request
-has missed the hot tier: allocator compiles get ``hint_dir`` under the
-cache directory and a ``hint_key`` derived from the *front-end*
-fingerprint + source, so allocator-knob-only variants of one program
-share one incumbent.  A hot hit never computes the hint key.  Both
+The hot tier is keyed by the request as sent: source, filename, payload
+kind and the canonical JSON of the wire options.  A rendered payload
+depends on the filename (a listing's title), which the artifact's key
+does not cover, and a hot hit parses no options.  Past the hot tier the
+daemon parses the options; the disk and pool tiers are keyed by the
+artifact's :func:`repro.cache.cache_key`.  The one thing the daemon adds
+to them: allocator compiles get ``hint_dir`` under the cache directory and
+a ``hint_key`` derived from the *front-end* fingerprint + source, so
+allocator-knob-only variants of one program share one incumbent.  Both
 fields are fingerprint-excluded, so a daemon's cache keys equal
 in-process ones and the two share one disk cache.  The solver engine is
 the client's (or the default ``highs``).
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import hashlib
+import json
 import multiprocessing
 import os
 import sys
@@ -53,8 +59,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.batch import BatchError, default_jobs, merge_cache_stats
-from repro.cache import CompileCache, cache_key, frontend_fingerprint
+from repro.cache import CompileCache, frontend_fingerprint
 from repro.compiler import Compilation, CompileOptions, compile_nova
+from repro.ilp.solve import load_solver_stack
 from repro.proto import (
     MAX_LINE,
     PAYLOADS,
@@ -265,8 +272,9 @@ class CompileServer:
         self.cache_root = Path(config.cache_dir)
         self.cache = CompileCache(self.cache_root)
         self.hint_dir = self.cache_root / "hints"
-        #: rendered responses keyed by cache key; OrderedDict as LRU.
-        self.hot: OrderedDict[str, dict] = OrderedDict()
+        #: rendered responses keyed by (source, filename, payload kind,
+        #: canonical wire options); OrderedDict as LRU.
+        self.hot: OrderedDict[tuple[str, str, str, str], dict] = OrderedDict()
         self.metrics = Metrics()
         self.worker_cache_stats: dict[str, int] = {}
         self.pool_restarts = 0
@@ -429,13 +437,19 @@ class CompileServer:
         payload_kind = request.get("payload", "pretty")
         if payload_kind not in PAYLOADS:
             raise ProtocolError(f"payload must be one of {PAYLOADS}")
-        want_trace = bool(request.get("trace"))
-        options = options_from_wire(request.get("options"))
-        key = cache_key(source, options)
-
-        hot = self.hot.get(key)
-        if hot is not None and hot["payload_kind"] == payload_kind:
-            self.hot.move_to_end(key)
+        hot_key = (
+            source,
+            filename,
+            payload_kind,
+            json.dumps(
+                request.get("options") or {},
+                sort_keys=True,
+                separators=(",", ":"),
+            ),
+        )
+        hot = self.hot.get(hot_key)
+        if hot is not None:
+            self.hot.move_to_end(hot_key)
             return {
                 "ok": True,
                 "op": "compile",
@@ -446,9 +460,11 @@ class CompileServer:
                 "spans": [],
             }
 
+        want_trace = bool(request.get("trace"))
+        options = options_from_wire(request.get("options"))
         # Past the hot tier, an allocator compile may solve: give it the
         # warm-start hint.  Both fields are fingerprint-excluded, so the
-        # key above stays the artifact's key.
+        # cache key stays the artifact's key.
         if options.run_allocator:
             options.alloc.solve.hint_dir = str(self.hint_dir)
             options.alloc.solve.hint_key = hint_key_for(source, options)
@@ -464,7 +480,7 @@ class CompileServer:
             )
         body["op"] = "compile"
         if body.get("ok"):
-            self._remember(key, payload_kind, body)
+            self._remember(hot_key, body)
         return body
 
     def _disk_hit(
@@ -507,9 +523,8 @@ class CompileServer:
         merge_cache_stats(self.worker_cache_stats, body.pop("cache_stats", {}))
         return body
 
-    def _remember(self, key: str, payload_kind: str, body: dict) -> None:
+    def _remember(self, key: tuple[str, str, str, str], body: dict) -> None:
         self.hot[key] = {
-            "payload_kind": payload_kind,
             "payload": body.get("payload"),
             "summary": body.get("summary"),
         }
@@ -602,8 +617,10 @@ class CompileServer:
     async def run(self) -> None:
         """Serve until a ``shutdown`` request; then tear everything down."""
         self._stop = asyncio.Event()
-        # Warm the pool before accepting work so first-request latency is
-        # a compile, not jobs × fork+import.
+        # Load the solver stack and create the pool before accepting
+        # work: the workers fork from this process on the first submit,
+        # so a first miss pays a compile, not jobs × import.
+        load_solver_stack()
         self.pool
         if self.config.socket:
             path = Path(self.config.socket)

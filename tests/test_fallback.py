@@ -10,7 +10,6 @@ import pytest
 from repro.alloc.allocator import AllocOptions, allocate
 from repro.compiler import CompileOptions, compile_nova
 from repro.errors import AllocError
-from repro.ilp import solve as solve_mod
 from repro.ilp.solve import SolveOptions
 from repro.trace import Tracer
 
@@ -65,7 +64,7 @@ def test_highs_crash_falls_back_to_bnb(monkeypatch):
         calls.append(1)
         raise RuntimeError("synthetic HiGHS failure")
 
-    monkeypatch.setattr(solve_mod.optimize, "milp", exploding_milp)
+    monkeypatch.setattr("scipy.optimize.milp", exploding_milp)
     tracer = Tracer()
     options = CompileOptions()
     options.alloc.solve = SolveOptions(engine="highs")

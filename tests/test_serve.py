@@ -175,6 +175,45 @@ class TestCompileTiers:
                 assert client.compile_source(GOOD)["cache"] == "hot"
         assert len(calls) == 1
 
+    def test_hot_hit_never_parses_the_options(self, server, monkeypatch):
+        # A hot hit answers a request it has already served; parsing the
+        # options (and the cache key behind them) is for the tiers below.
+        calls = []
+
+        def counted(data):
+            calls.append(data)
+            return options_from_wire(data)
+
+        monkeypatch.setattr(serve, "options_from_wire", counted)
+        with ServeClient.connect(server.socket) as client:
+            assert client.compile_source(GOOD)["cache"] == "miss"
+            for _ in range(3):
+                assert client.compile_source(GOOD)["cache"] == "hot"
+        assert len(calls) == 1
+
+    def test_hot_tier_keeps_each_filename_listing_title(self, server):
+        # Two requests that share a cache key but name different files
+        # want different listings: the title line is the filename.
+        source = (ROOT / "examples" / "ring_sum.nova").read_text()
+        options = CompileOptions()
+        options.run_allocator = False
+
+        def listing(client, filename):
+            return client.compile_source(
+                source, filename, options=options, payload="listing"
+            )
+
+        with ServeClient.connect(server.socket) as client:
+            first = listing(client, "first.nova")
+            second = listing(client, "second.nova")
+            again = listing(client, "second.nova")
+        assert first["cache"] == "miss"
+        assert first["payload"].splitlines()[0] == "; first.nova"
+        assert second["cache"] == "hit"
+        assert second["payload"].splitlines()[0] == "; second.nova"
+        assert again["cache"] == "hot"
+        assert again["payload"] == second["payload"]
+
     def test_knob_variant_miss_is_warm_started_highs(self, server):
         variant = CompileOptions()
         variant.alloc.solve.gap = 1e-3

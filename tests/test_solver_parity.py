@@ -135,8 +135,6 @@ class TestStatusMapping:
         [(2, "infeasible"), (3, "unbounded"), (4, "failed"), (99, "failed")],
     )
     def test_milp_status_mapping(self, monkeypatch, milp_status, expected):
-        from repro.ilp import solve as solve_mod
-
         class FakeResult:
             status = milp_status
             x = None
@@ -145,7 +143,7 @@ class TestStatusMapping:
             mip_gap = None
 
         monkeypatch.setattr(
-            solve_mod.optimize, "milp", lambda *a, **kw: FakeResult()
+            "scipy.optimize.milp", lambda *a, **kw: FakeResult()
         )
         sol = solve_model(
             FEASIBLE_MODELS["knapsack"](), SolveOptions(engine="highs")
