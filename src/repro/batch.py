@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 from repro.cache import CompileCache, cached_compile
 from repro.compiler import Compilation, CompileOptions
 from repro.errors import NovaError
+from repro.ilp.solve import load_solver_stack
 from repro.trace import Tracer, ensure
 
 
@@ -189,7 +190,11 @@ def default_jobs() -> int:
 
 
 def scatter(
-    worker, arg_tuples: Sequence[tuple], jobs: int = 1, pool=None
+    worker,
+    arg_tuples: Sequence[tuple],
+    jobs: int = 1,
+    pool=None,
+    solves: bool = False,
 ) -> list:
     """Run ``worker(*args)`` for every tuple; results in input order.
 
@@ -205,6 +210,11 @@ def scatter(
     one (``jobs`` is then ignored and the pool is left running): the
     compile daemon, ``novac fuzz`` and ``novac pump --chips`` reuse one
     warm pool across calls rather than paying per-call fork + import.
+
+    ``solves`` says the workers may solve an ILP.  A fresh pool is then
+    forked after :func:`~repro.ilp.solve.load_solver_stack`, so its
+    workers share this process's numpy and scipy pages instead of each
+    importing the libraries at its first solve.
     """
     if pool is not None:
         futures = [pool.submit(worker, *args) for args in arg_tuples]
@@ -212,6 +222,8 @@ def scatter(
     jobs = max(1, int(jobs))
     if jobs == 1 or len(arg_tuples) <= 1:
         return [worker(*args) for args in arg_tuples]
+    if solves:
+        load_solver_stack()
     with ProcessPoolExecutor(max_workers=min(jobs, len(arg_tuples))) as pool:
         futures = [pool.submit(worker, *args) for args in arg_tuples]
         return [future.result() for future in futures]
@@ -258,6 +270,7 @@ def compile_many(
             ],
             jobs,
             pool=pool,
+            solves=options.run_allocator,
         )
         units = []
         cache_stats: dict[str, int] = {}

@@ -205,6 +205,9 @@ def run_campaign(
             ],
             jobs,
             pool=pool,
+            solves=any(
+                c.options.run_allocator for c in default_configs(config_names)
+            ),
         )
         units = []
         for unit, spans in outcomes:

@@ -1394,6 +1394,7 @@ def run_sharded(
             ],
             jobs,
             pool=pool,
+            solves=not virtual,
         )
         results = []
         for result, spans in outcomes:
