@@ -31,26 +31,35 @@ def _benchmark_aware(benchmark):
     yield
 
 
-def compile_app(name: str, **compile_kwargs):
+def compile_app(name: str, one_shot: bool = False):
     """Compile one paper application with tracing enabled.
 
     Every compile in the benchmark harness runs under a live
     :class:`repro.trace.Tracer`: the Figure 5-7 tables read the recorded
     spans (``comp.trace``) instead of re-deriving the statistics per
-    test.
+    test.  ``one_shot`` solves the paper's one-shot model, whose sizes
+    and root-relaxation time Figure 7 tabulates; otherwise the compile
+    takes the default (spill-free model first) path users run.
     """
     app = APP_BUILDERS[name]()
     options = CompileOptions()
     options.alloc.solve.time_limit = 900
-    for key, value in compile_kwargs.items():
-        setattr(options, key, value)
+    if one_shot:
+        options.alloc.two_phase = False
+        options.alloc.solve.root_relaxation = True
     return app, compile_nova(app.source, options=options, tracer=Tracer())
 
 
 @pytest.fixture(scope="session")
 def compiled_apps():
-    """name → (AppBundle, Compilation with ILP allocation)."""
+    """name → (AppBundle, Compilation with the default ILP allocation)."""
     return {name: compile_app(name) for name in APP_BUILDERS}
+
+
+@pytest.fixture(scope="session")
+def one_shot_apps():
+    """name → (AppBundle, Compilation of the paper's one-shot model)."""
+    return {name: compile_app(name, one_shot=True) for name in APP_BUILDERS}
 
 
 @pytest.fixture(scope="session")
@@ -71,9 +80,9 @@ def virtual_apps():
 def span_counters(comp, name: str) -> dict:
     """Counters of the *last* span called ``name`` in a traced compile.
 
-    "Last" matters for two-phase allocation, where ``model``/``solve``
-    spans occur once per phase and the final pair is the one Figure 7
-    tabulates.
+    "Last" matters when the spill-free model fails and the allocator
+    builds the full model: the final ``model``/``solve`` pair is the
+    one that produced the allocation.
     """
     assert comp.trace is not None, "compilation was not traced"
     span = comp.trace.last(name)

@@ -24,11 +24,11 @@ PAPER_FIG6 = {
 }
 
 
-def test_fig6_table(compiled_apps):
+def test_fig6_table(one_shot_apps):
     # The coloring-participation sets are counters on the tracer's
     # ``model`` span (recorded while the allocation ILP is built).
     rows = []
-    for name, (_, comp) in compiled_apps.items():
+    for name, (_, comp) in one_shot_apps.items():
         c = span_counters(comp, "model")
         rows.append(
             [

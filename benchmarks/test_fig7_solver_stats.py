@@ -32,12 +32,12 @@ PAPER_FIG7 = {
 }
 
 
-def test_fig7_table(compiled_apps):
+def test_fig7_table(one_shot_apps):
     # Figure 7 is assembled from the tracer's spans: model sizes from the
     # ``model`` span, solver timings/nodes from ``solve``, and the
     # decoded moves/spills from the ``allocate`` summary span.
     rows = []
-    for name, (_, comp) in compiled_apps.items():
+    for name, (_, comp) in one_shot_apps.items():
         model = span_counters(comp, "model")
         solve = span_counters(comp, "solve")
         alloc = span_counters(comp, "allocate")
@@ -77,7 +77,7 @@ def test_fig7_table(compiled_apps):
 @pytest.mark.parametrize("name", ["AES", "Kasumi", "NAT"])
 def test_ilp_solve_speed(benchmark, name):
     def solve():
-        _, comp = compile_app(name)
+        _, comp = compile_app(name, one_shot=True)
         assert comp.alloc.status == "optimal"
         return comp
 

@@ -1,20 +1,25 @@
 """Top-level allocator driver: model → solve → color → decode.
 
-Also implements the paper's *two-phase* variant (Section 11): a first
-solve with an objective that merely detects whether spills are needed at
-all; when none are (the common case — Figure 7 reports zero spills for
-all three applications), the model is rebuilt without the M bank, which
-eliminates many variables and constraints involving memory and solves
-much faster (the paper reports 9s for AES vs 35.9s one-shot).
+By default it runs the paper's *two-phase* allocation (Section 11) as
+one solve: it first builds the model without the M bank, which drops
+many of the variables and constraints involving memory (the paper
+reports AES in 9 s instead of 35.9 s one-shot).  Optimal allocations
+rarely spill (Figure 7 reports zero spills for all three applications),
+so that solve usually settles the allocation.  Only when it proves
+spills necessary, ends without an incumbent, fails or crashes does the
+allocator build the full model.  ``AllocOptions.two_phase = False``
+solves the full model directly: the paper's one-shot model, whose sizes
+Figure 7 tabulates.
 
-Solver robustness is graceful degradation rather than an exception: the
-chain ``highs`` → ``bnb`` → the heuristic graph-coloring allocator
-(:mod:`repro.alloc.baseline`) is walked with per-stage time budgets, so
-a solver timeout, numerical failure, or crash downgrades to a feasible
-(if less optimal) allocation.  Every downgrade records a ``fallback``
-trace span carrying the stage it moved to and the reason.  Genuinely
-infeasible models still raise :class:`AllocError` — no solver can help
-there, and the ablation suites depend on the diagnosis.
+Solver robustness is graceful degradation rather than an exception: for
+the full model the chain ``highs`` → ``bnb`` → the heuristic
+graph-coloring allocator (:mod:`repro.alloc.baseline`) is walked with
+per-stage time budgets, so a solver timeout, numerical failure, or crash
+downgrades to a feasible (if less optimal) allocation.  Every downgrade
+records a ``fallback`` trace span carrying the stage it moved to and the
+reason.  Genuinely infeasible models still raise :class:`AllocError` —
+no solver can help there, and the ablation suites depend on the
+diagnosis.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocError
-from repro.ixp.banks import Bank
 from repro.ixp.flowgraph import FlowGraph
 from repro.ilp.solve import SolveOptions, check_engine, solve_model
 from repro.trace import ensure
@@ -41,11 +45,14 @@ from repro.alloc.ilpmodel import (
 class AllocOptions:
     model: ModelOptions = field(default_factory=ModelOptions)
     solve: SolveOptions = field(default_factory=SolveOptions)
-    two_phase: bool = False
+    #: Solve the spill-free model first and build the full model only
+    #: when that solve yields no allocation; False is the paper's
+    #: one-shot model.
+    two_phase: bool = True
     spill_base: int = decode_mod.SPILL_BASE
     #: Degrade gracefully (``highs`` → ``bnb`` → baseline coloring) when
     #: a solver times out without an incumbent, fails numerically, or
-    #: crashes.  Infeasible models raise regardless.
+    #: crashes on the full model.  Infeasible models raise regardless.
     fallback: bool = True
     #: Time budget (seconds) for the ``bnb`` retry stage of the chain.
     fallback_time_limit: float | None = 60.0
@@ -83,7 +90,7 @@ class AllocResult:
         }
 
 
-def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
+def _solve_chain(model, options: AllocOptions, tracer):
     """Solve ``model`` through the engine chain.
 
     Returns ``(solution, fallback)`` where ``fallback`` is ``"bnb"``
@@ -91,8 +98,6 @@ def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
     when every engine stage failed (the caller then degrades to the
     baseline allocator or raises).  Infeasibility raises immediately.
     """
-    suffix = f" ({phase})" if phase else ""
-
     def run(solve_options):
         try:
             return solve_model(model, solve_options, tracer), None
@@ -101,7 +106,7 @@ def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
 
     solution, crash = run(options.solve)
     if solution is not None and solution.status == "infeasible":
-        raise AllocError(f"allocation ILP is infeasible{suffix}")
+        raise AllocError("allocation ILP is infeasible")
     if solution is not None and solution.usable:
         return solution, None
     reason = crash if crash else f"status={solution.status}"
@@ -114,7 +119,7 @@ def _solve_chain(model, options: AllocOptions, tracer, phase: str = ""):
     with tracer.span("fallback", stage="bnb", reason=reason):
         retry, crash = run(retry_options)
     if retry is not None and retry.status == "infeasible":
-        raise AllocError(f"allocation ILP is infeasible{suffix}")
+        raise AllocError("allocation ILP is infeasible")
     if retry is not None and retry.usable:
         return retry, "bnb"
     return None, crash if crash else f"status={retry.status}"
@@ -129,10 +134,11 @@ def allocate(
     """Run the paper's ILP-based allocation pipeline on a flowgraph.
 
     ``prebuilt`` reuses an :class:`AllocModel` already built from the
-    *same graph and model options* (the caller's responsibility — the
-    fuzz oracle shares one model across its solver-engine configs).  It
-    is ignored for the two-phase and rematerialization variants, which
-    transform the graph or mutate the model's objective.
+    *same graph* and the model options this call builds first: the
+    spill-free model when ``options.two_phase`` is set, else the full
+    one (the caller's responsibility — the fuzz oracle shares one model
+    across its solver-engine configs).  It is ignored for the
+    rematerialization variant, which transforms the graph.
     """
     options = options or AllocOptions()
     # A misconfigured engine is an error, not a solver failure to fall
@@ -145,7 +151,10 @@ def allocate(
         graph, _ = lift_constants(graph)
         prebuilt = None
     if options.two_phase:
-        return _allocate_two_phase(graph, options, tracer)
+        result = _allocate_spill_free(graph, options, tracer, prebuilt)
+        if result is not None:
+            return result
+        prebuilt = None
     am = prebuilt if prebuilt is not None else build_model(
         graph, options.model, tracer
     )
@@ -153,6 +162,34 @@ def allocate(
     if solution is None:
         return _degrade_to_baseline(graph, options, tracer, downgraded)
     return _finish(graph, am, solution, options, fallback=downgraded)
+
+
+def first_model_options(options: AllocOptions) -> ModelOptions:
+    """The model options :func:`allocate` builds its first model with."""
+    if options.two_phase:
+        return replace(options.model, allow_spill=False)
+    return options.model
+
+
+def _allocate_spill_free(
+    graph: FlowGraph, options: AllocOptions, tracer, prebuilt
+) -> AllocResult | None:
+    """Solve the model without the M bank once, with no fallback chain.
+
+    Returns None when that solve yields no allocation: it proved
+    spills necessary, stopped without an incumbent, failed or raised.
+    The caller then solves the full model.
+    """
+    am = prebuilt if prebuilt is not None else build_model(
+        graph, first_model_options(options), tracer
+    )
+    try:
+        solution = solve_model(am.model, options.solve, tracer)
+    except Exception:  # solver crash: the full model's chain handles it
+        return None
+    if not solution.usable:
+        return None
+    return _finish(graph, am, solution, options)
 
 
 def _degrade_to_baseline(
@@ -224,28 +261,3 @@ def _finish(graph, am, solution, options, fallback=None) -> AllocResult:
         status=solution.status,
         fallback=fallback,
     )
-
-
-def _allocate_two_phase(
-    graph: FlowGraph, options: AllocOptions, tracer
-) -> AllocResult:
-    """Phase 1: are spills needed at all?  Phase 2: solve without M."""
-    am1 = build_model(graph, options.model, tracer)
-    # Replace the objective: one unit per move into the M bank.
-    am1.model.objective = {}
-    spill_obj = {}
-    for (p, v, b1, b2), var in am1.move.items():
-        if b2 is Bank.M and b1 is not Bank.M:
-            spill_obj[var] = 1.0
-    am1.model.minimize(spill_obj)
-    phase1, downgraded1 = _solve_chain(am1.model, options, tracer, "phase 1")
-    if phase1 is None:
-        return _degrade_to_baseline(graph, options, tracer, downgraded1)
-    needs_spills = phase1.objective > 0.5
-
-    model_opts = replace(options.model, allow_spill=needs_spills)
-    am2 = build_model(graph, model_opts, tracer)
-    solution, downgraded2 = _solve_chain(am2.model, options, tracer, "phase 2")
-    if solution is None:
-        return _degrade_to_baseline(graph, options, tracer, downgraded2)
-    return _finish(graph, am2, solution, options, fallback=downgraded2)

@@ -68,7 +68,8 @@ class ModelOptions:
     mv_cost: float = 1.0
     ld_cost: float = 200.0
     st_cost: float = 200.0
-    #: Allow spilling at all (two-phase mode rebuilds without M).
+    #: Allow spilling at all (the default allocation first solves
+    #: the model without M).
     allow_spill: bool = True
 
 

@@ -73,9 +73,12 @@ def main(argv: list[str] | None = None) -> int:
         "--stats", action="store_true", help="print compilation statistics"
     )
     parser.add_argument(
-        "--two-phase",
+        "--one-shot",
         action="store_true",
-        help="use the two-phase (spill-detection first) objective",
+        help=(
+            "solve the paper's one-shot allocation model instead of the "
+            "spill-free model first"
+        ),
     )
     parser.add_argument(
         "--listing",
@@ -144,7 +147,8 @@ def main(argv: list[str] | None = None) -> int:
 def _make_options(args) -> CompileOptions:
     options = CompileOptions()
     options.run_allocator = not args.virtual
-    options.alloc.two_phase = args.two_phase
+    if args.one_shot:
+        options.alloc.two_phase = False
     return options
 
 

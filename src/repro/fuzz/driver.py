@@ -286,7 +286,8 @@ def fuzz_main(argv: list | None = None) -> int:
         metavar="A,B,...",
         help="comma-separated configuration subset (default: full matrix; "
         "'ref' is always included). Known: ref, no-opt, ssu-off, "
-        "sim-compiled, alloc-highs, alloc-bnb, alloc-baseline",
+        "sim-compiled, alloc-highs, alloc-oneshot, alloc-bnb, "
+        "alloc-baseline",
     )
     parser.add_argument(
         "--artifact-dir",

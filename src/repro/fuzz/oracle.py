@@ -24,18 +24,20 @@ Legal asymmetries are *skips*, not divergences:
 Compilation sharing
 -------------------
 
-Compile time, not simulation, dominates a campaign (the three allocator
+Compile time, not simulation, dominates a campaign (the four allocator
 configs each solve an ILP), so the oracle reuses every option-independent
-stage across the matrix instead of calling ``compile_nova`` six times:
+stage across the matrix instead of calling ``compile_nova`` per config:
 
 - the front end (parse → typecheck → CPS → deproc) runs once per program
   (:func:`repro.compiler.parse_front`);
 - configs that differ only in allocator knobs re-run just the allocator
   over the reference's virtual flowgraph
   (:func:`repro.compiler.allocate_compilation`);
-- solver-engine configs with identical model options share one built
-  :class:`~repro.alloc.ilpmodel.AllocModel` (and, via the memoized
-  ``Model.standard_form``, one sparse-matrix conversion);
+- solver-engine configs with identical model options share the
+  :class:`~repro.alloc.ilpmodel.AllocModel` the allocator builds first
+  (the spill-free model on the default path, so ``alloc-highs``,
+  ``alloc-bnb`` and ``alloc-baseline`` build it once) and, via the
+  memoized ``Model.standard_form``, one sparse-matrix conversion;
 - an optional :class:`repro.cache.CompileCache` short-circuits repeat
   compiles entirely (shrinking re-checks the same base program many
   times).  Cached artifacts are slim — ``alloc.model`` is dropped — so
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.alloc.allocator import first_model_options
 from repro.alloc.decode import place_inputs
 from repro.alloc.verify import check_solution
 from repro.cache import CompileCache, frontend_fingerprint, options_fingerprint
@@ -97,12 +100,17 @@ def _virtual_options(**overrides) -> CompileOptions:
 def default_configs(names: list[str] | None = None) -> list[FuzzConfig]:
     """The full matrix; ``names`` selects a subset (ref is always kept).
 
-    ``alloc-baseline`` forces the heuristic graph-coloring allocator by
-    giving the exact solver a zero time budget, which walks the PR-2
-    fallback chain to its last stage.
+    ``alloc-highs`` and ``alloc-bnb`` take the default allocation path
+    (the spill-free model first); ``alloc-oneshot`` keeps the paper's
+    full model under the oracle.  ``alloc-baseline`` forces the
+    heuristic graph-coloring allocator by giving the exact solver a zero
+    time budget, which walks the fallback chain to its last stage.
     """
     highs = CompileOptions()
     highs.alloc.solve = SolveOptions(engine="highs", time_limit=60.0)
+    oneshot = CompileOptions()
+    oneshot.alloc.solve = SolveOptions(engine="highs", time_limit=60.0)
+    oneshot.alloc.two_phase = False
     bnb = CompileOptions()
     bnb.alloc.solve = SolveOptions(engine="bnb", time_limit=60.0)
     baseline = CompileOptions()
@@ -116,6 +124,7 @@ def default_configs(names: list[str] | None = None) -> list[FuzzConfig]:
         # difference is a miscompiled *simulator*, not program.
         FuzzConfig("sim-compiled", _virtual_options(), sim_mode="compiled"),
         FuzzConfig("alloc-highs", highs, physical=True),
+        FuzzConfig("alloc-oneshot", oneshot, physical=True),
         FuzzConfig("alloc-bnb", bnb, physical=True),
         FuzzConfig("alloc-baseline", baseline, physical=True),
     ]
@@ -195,41 +204,41 @@ class _CompileShare:
     models: dict[tuple[str, str], object] = field(default_factory=dict)
 
 
-def _model_share_key(
-    options: CompileOptions, front_fp: str
-) -> tuple[str, str] | None:
-    """Key under which this config's AllocModel may be shared, or None.
-
-    Two-phase allocation mutates the model's objective and
-    rematerialization transforms the graph before modeling, so neither
-    variant can reuse (or donate) a prebuilt model.
-    """
-    alloc = options.alloc
-    if alloc.two_phase or alloc.model.remat_constants:
-        return None
-    return (front_fp, options_fingerprint(alloc.model))
+def _model_share_key(front_fp: str, model_options) -> tuple[str, str]:
+    """Key of a built AllocModel: the front end and its model options."""
+    return (front_fp, options_fingerprint(model_options))
 
 
 def _compile_shared(
     config: FuzzConfig, share: _CompileShare, tracer
 ) -> Compilation:
-    """Compile one config, reusing front end / flowgraph / AllocModel."""
+    """Compile one config, reusing front end / flowgraph / AllocModel.
+
+    A config reuses a model built with the options its allocation
+    builds first (the spill-free model on the default path).
+    Rematerialization transforms the graph before modeling, so it can
+    neither reuse nor donate a model.
+    """
     options = config.options
     fp = frontend_fingerprint(options)
+    shares_models = (
+        options.run_allocator and not options.alloc.model.remat_constants
+    )
     base = share.bases.get(fp)
     if options.run_allocator and base is not None:
-        key = _model_share_key(options, fp)
-        prebuilt = share.models.get(key) if key is not None else None
+        prebuilt = None
+        if shares_models:
+            key = _model_share_key(fp, first_model_options(options.alloc))
+            prebuilt = share.models.get(key)
         comp = allocate_compilation(base, options, tracer, prebuilt=prebuilt)
     else:
         if share.front is None:
             share.front = parse_front(share.source, share.filename, tracer)
         comp = compile_from_front(share.front, options, tracer)
         share.bases.setdefault(fp, comp)
-    if options.run_allocator and comp.alloc is not None:
-        key = _model_share_key(options, fp)
-        if key is not None and comp.alloc.model is not None:
-            share.models.setdefault(key, comp.alloc.model)
+    if shares_models and comp.alloc is not None and comp.alloc.model is not None:
+        model = comp.alloc.model
+        share.models.setdefault(_model_share_key(fp, model.options), model)
     return comp
 
 

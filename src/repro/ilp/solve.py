@@ -10,10 +10,12 @@ Two engines:
 
 Both report the two timings Figure 7 tabulates: the *root relaxation*
 (optimal LP solution) and the total time to integer optimality.  The
-``highs`` engine only pays for a separate root-relaxation ``linprog``
-solve when someone will read the number — a tracer is active or
-:attr:`SolveOptions.root_relaxation` is set — since ``milp`` does not
-report it and the extra solve is pure measurement overhead otherwise.
+``highs`` engine pays for a separate root-relaxation ``linprog`` solve
+only when :attr:`SolveOptions.root_relaxation` is set, since ``milp``
+does not report it and the extra solve is pure measurement overhead
+otherwise.  A tracer never turns it on: tracing a compile must not
+change the work it does, so a traced ``highs`` solve reports a root
+time of 0 unless the option asks for it.
 
 Warm starts: when :attr:`SolveOptions.hint_dir` and ``hint_key`` are
 set, :func:`solve_model` consults a :class:`~repro.ilp.hints.HintStore`.
@@ -59,8 +61,8 @@ class SolveOptions:
     gap: float = 1e-4  # CPLEX-style relative MIP gap (paper: 0.01%)
     node_limit: int = 200_000
     #: measure the LP root relaxation with a dedicated ``linprog`` solve
-    #: even when no tracer is active (the ``bnb`` engine gets it for free
-    #: from its first node; ``highs`` needs the extra solve).
+    #: (the ``bnb`` engine gets it for free from its first node;
+    #: ``highs`` needs the extra solve, which a tracer does not trigger).
     root_relaxation: bool = False
     #: Warm-start hint store, for any engine: directory of prior
     #: solutions and the key of the nearest prior model (the compile
@@ -176,7 +178,7 @@ def solve_model(
             solution = _solve_bnb(model, options, incumbent=warm)
         else:
             solution = _solve_highs(
-                model, options, tracer, upper_bound=warm[0] if warm else None
+                model, options, upper_bound=warm[0] if warm else None
             )
         if store is not None and reused is None and solution.usable:
             store.save(options.hint_key, model, solution)
@@ -245,7 +247,6 @@ _MILP_STATUS = {2: "infeasible", 3: "unbounded", 4: "failed"}
 def _solve_highs(
     model: Model,
     options: SolveOptions,
-    tracer,
     upper_bound: float | None = None,
 ) -> Solution:
     """HiGHS branch & cut via :func:`scipy.optimize.milp`.
@@ -261,9 +262,9 @@ def _solve_highs(
 
     c, matrix, lb, ub = model.standard_form()
     # milp does not report the root-relaxation time; measure it with a
-    # dedicated LP solve only when the number will actually be read.
+    # dedicated LP solve only when the caller asks for the number.
     root_seconds = 0.0
-    if tracer.enabled or options.root_relaxation:
+    if options.root_relaxation:
         _, root_seconds, _ = _root_relaxation(c, matrix, lb, ub, model.num_vars)
     start = time.perf_counter()
     constraints = []

@@ -282,7 +282,8 @@ class Tracer:
         return None
 
     def last(self, name: str) -> Span | None:
-        """Last span with this name (e.g. the phase-2 solve in two-phase)."""
+        """Last span with this name (e.g. the full model's solve after a
+        failed spill-free one)."""
         for s in reversed(self.spans):
             if s.name == name:
                 return s

@@ -27,12 +27,14 @@ def compile_virtual(source: str) -> Compilation:
 
 def compile_full(
     source: str,
-    two_phase: bool = False,
+    two_phase: bool | None = None,
     time_limit: float | None = None,
     gap: float | None = None,
 ) -> Compilation:
+    """Compile with the ILP allocator; unset knobs keep the library default."""
     options = CompileOptions()
-    options.alloc.two_phase = two_phase
+    if two_phase is not None:
+        options.alloc.two_phase = two_phase
     if time_limit is not None:
         options.alloc.solve.time_limit = time_limit
     if gap is not None:

@@ -6,10 +6,17 @@ semantics — this exercises the whole stack: model, solver, transfer
 coloring, A/B coloring with coalescing, decode, spills.
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.alloc.verify import check_equivalence
+from repro.compiler import CompileOptions, compile_nova
+from repro.fuzz.gen import generate
+from repro.ilp.model import Solution
 from repro.ixp.banks import Bank
+from repro.trace import Tracer
 
 from tests.helpers import compile_full, run_main, run_physical
 from tests.programs import CASES, case
@@ -150,7 +157,7 @@ class TestPaperScenarios:
 
     def test_two_phase_matches_one_shot(self):
         tc = case("clone_heavy")
-        one = compile_full(tc.source)
+        one = compile_full(tc.source, two_phase=False)
         two = compile_full(tc.source, two_phase=True)
         assert two.alloc.status == "optimal"
         assert two.alloc.spills == one.alloc.spills == 0
@@ -162,3 +169,91 @@ class TestPaperScenarios:
         tc = case("clone_heavy")
         comp = compile_full(tc.source)
         assert comp.alloc.decoded.stats.clones_dropped >= 1
+
+
+def _solve_objective(tracer) -> float:
+    return tracer.last("solve").counters["objective"]
+
+
+class TestSpillFreeFirst:
+    """The default allocation solves the model without the M bank first
+    and builds the full model only when that solve yields nothing."""
+
+    def test_one_shot_tie_with_a_spill(self):
+        # Both models reach objective 401 here; the one-shot optimum may
+        # take a tie with a spill, the spill-free model cannot.
+        source = generate(95).source
+        traced = {}
+        for two_phase in (True, False):
+            options = CompileOptions()
+            options.alloc.two_phase = two_phase
+            tracer = Tracer()
+            comp = compile_nova(source, options=options, tracer=tracer)
+            assert comp.alloc.status == "optimal"
+            traced[two_phase] = (comp, _solve_objective(tracer))
+        (default, objective), (_, one_shot_objective) = traced[True], traced[False]
+        assert default.alloc.spills == 0
+        gap = CompileOptions().alloc.solve.gap
+        assert abs(objective - one_shot_objective) <= gap * max(
+            1.0, abs(one_shot_objective)
+        )
+
+    @staticmethod
+    def _patch_first_solve(monkeypatch, rewrite):
+        """Pass the spill-free solve's answer through ``rewrite``."""
+        import repro.alloc.allocator as allocator_mod
+
+        real = allocator_mod.solve_model
+        calls = []
+
+        def patched(model, options, tracer=None):
+            solution = real(model, options, tracer)
+            calls.append(model.num_vars)
+            return rewrite(solution) if len(calls) == 1 else solution
+
+        monkeypatch.setattr(allocator_mod, "solve_model", patched)
+        return calls
+
+    def test_timeout_without_incumbent_reaches_full_model(self, monkeypatch):
+        import numpy as np
+
+        calls = self._patch_first_solve(
+            monkeypatch,
+            lambda s: Solution(
+                "timeout", math.inf, np.zeros(len(s.values)), 0.0, 1.0
+            ),
+        )
+        tc = case("clone_heavy")
+        comp = compile_full(tc.source)
+        assert len(calls) == 2 and calls[0] < calls[1]
+        assert comp.alloc.variables == calls[1]
+        assert comp.alloc.status == "optimal"
+        assert comp.alloc.fallback is None
+        rp, _ = run_physical(comp, tc.memory, **tc.inputs)
+        assert rp == tc.expect_results
+
+    def test_timeout_with_incumbent_is_returned(self, monkeypatch):
+        calls = self._patch_first_solve(
+            monkeypatch, lambda s: dataclasses.replace(s, status="timeout")
+        )
+        tc = case("clone_heavy")
+        comp = compile_full(tc.source)
+        assert len(calls) == 1
+        assert comp.alloc.variables == calls[0]
+        assert comp.alloc.status == "timeout"
+        assert comp.alloc.fallback is None
+        assert comp.alloc.spills == 0
+        rp, _ = run_physical(comp, tc.memory, **tc.inputs)
+        assert rp == tc.expect_results
+
+    def test_spill_free_crash_reaches_full_model(self, monkeypatch):
+        def crash(solution):
+            raise RuntimeError("synthetic solver crash")
+
+        calls = self._patch_first_solve(monkeypatch, crash)
+        tc = case("clone_heavy")
+        comp = compile_full(tc.source)
+        assert len(calls) == 2
+        assert comp.alloc.variables == calls[1]
+        assert comp.alloc.status == "optimal"
+        assert comp.alloc.fallback is None

@@ -58,11 +58,11 @@ def test_source_change_misses(cache):
 def test_different_alloc_options_miss(cache):
     plain = CompileOptions()
     cached_compile(SOURCE, options=plain, cache=cache)
-    two_phase = CompileOptions()
-    two_phase.alloc.two_phase = True
-    _, state = cached_compile(SOURCE, options=two_phase, cache=cache)
+    one_shot = CompileOptions()
+    one_shot.alloc.two_phase = False
+    _, state = cached_compile(SOURCE, options=one_shot, cache=cache)
     assert state == "miss"
-    assert cache_key(SOURCE, plain) != cache_key(SOURCE, two_phase)
+    assert cache_key(SOURCE, plain) != cache_key(SOURCE, one_shot)
 
 
 def test_different_solve_options_miss(cache):

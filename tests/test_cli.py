@@ -47,8 +47,8 @@ def test_cps_dump(program, capsys):
 
 def test_stats(program, tmp_path, capsys):
     """--stats prints the spans this run recorded: a fresh compile times
-    every phase and measures the root relaxation, a cache hit times only
-    its lookup."""
+    every phase but runs no root-relaxation LP (tracing does not change
+    the work), a cache hit times only its lookup."""
     cache_dir = str(tmp_path / "cache")
     assert main(["--stats", "--cache-dir", cache_dir, program]) == 0
     out = capsys.readouterr().out
@@ -69,11 +69,25 @@ def test_stats(program, tmp_path, capsys):
     assert phases(hit) == ["cache.lookup"]
     ilp = next(line for line in out.splitlines() if line.startswith("ILP:"))
     row = dict(item.split("=") for item in ilp[len("ILP:"):].split())
-    assert float(row["root_time_s"]) > 0
+    assert float(row["root_time_s"]) == 0
+    assert float(row["integer_time_s"]) > 0
 
 
-def test_two_phase_flag(program, capsys):
-    assert main(["--two-phase", program]) == 0
+def test_one_shot_flag(program, tmp_path, capsys):
+    """--one-shot solves the paper's full model; the default the
+    smaller spill-free one.  Both allocate without a spill."""
+    import json
+
+    def model_variables(*flags):
+        trace_path = tmp_path / "trace.jsonl"
+        assert main([*flags, "--trace-json", str(trace_path), program]) == 0
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        (model,) = [r for r in records if r["name"] == "model"]
+        (alloc,) = [r for r in records if r["name"] == "allocate"]
+        assert alloc["counters"]["spills"] == 0
+        return model["counters"]["variables"]
+
+    assert model_variables() < model_variables("--one-shot")
 
 
 def test_trace_table(program, capsys):
@@ -110,7 +124,8 @@ def test_trace_json(program, tmp_path, capsys):
     solve = next(r for r in records if r["name"] == "solve")
     assert solve["counters"]["rows"] > 0
     assert solve["counters"]["nodes"] >= 0
-    assert solve["counters"]["root_relaxation_seconds"] > 0
+    # Tracing does not change the work: no root-relaxation LP solve.
+    assert solve["counters"]["root_relaxation_seconds"] == 0
     assert all(r["seconds"] >= 0 for r in records)
 
 
@@ -158,6 +173,15 @@ def test_run_flag_spilled_inputs(tmp_path, capsys):
     path.write_text(SPILLED_INPUTS_SOURCE)
     values = ",".join(f"{name}={i}" for i, name in enumerate(SPILLED_PARAMS))
     assert main(["--run", values, str(path)]) == 0
+    assert "thread 0: (0x276)" in capsys.readouterr().out
+
+
+def test_run_flag_spilled_inputs_one_shot(tmp_path, capsys):
+    """The one-shot model leaves the same inputs in scratch slots."""
+    path = tmp_path / "spilled.nova"
+    path.write_text(SPILLED_INPUTS_SOURCE)
+    values = ",".join(f"{name}={i}" for i, name in enumerate(SPILLED_PARAMS))
+    assert main(["--one-shot", "--run", values, str(path)]) == 0
     assert "thread 0: (0x276)" in capsys.readouterr().out
 
 

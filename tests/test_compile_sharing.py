@@ -5,7 +5,8 @@ splits the pipeline so the option-independent prefix (parse → typecheck
 → CPS → deproc) runs once (`parse_front`), allocator-only option points
 re-run just the allocator over a shared virtual flowgraph
 (`allocate_compilation`), and solver-engine configs share one built
-`AllocModel`.  Every shared artifact must be *identical* to what a
+`AllocModel` (the spill-free model the default allocation builds
+first).  Every shared artifact must be *identical* to what a
 from-scratch `compile_nova` produces — these tests pin that down at the
 listing level, where any drift in gensym numbering, optimization, or
 allocation shows up textually.
@@ -97,6 +98,24 @@ class TestModelSharing:
 
         assert render_listing(fresh.physical) == render_listing(shared.physical)
 
+    def test_oracle_shares_the_spill_free_model(self, monkeypatch):
+        """alloc-highs and alloc-bnb build one spill-free model between
+        them; alloc-oneshot builds its own full model."""
+        import repro.alloc.allocator as allocator_mod
+
+        built = []
+        real = allocator_mod.build_model
+
+        def counting(graph, options=None, tracer=None):
+            built.append(options.allow_spill)
+            return real(graph, options, tracer)
+
+        monkeypatch.setattr(allocator_mod, "build_model", counting)
+        program = generate(3, GenConfig())
+        configs = default_configs(["alloc-highs", "alloc-bnb", "alloc-oneshot"])
+        assert check_generated(program, configs=configs).ok
+        assert built == [False, True]
+
     def test_standard_form_memoized_until_mutation(self):
         model = Model("memo")
         x = model.family("x")
@@ -111,7 +130,7 @@ class TestModelSharing:
         assert second[1].shape[0] == 2  # both constraints present
 
     def test_standard_form_invalidated_by_objective_rebind(self):
-        # The two-phase allocator rebinds ``model.objective`` wholesale.
+        # Code may rebind ``model.objective`` wholesale.
         model = Model("rebind")
         x = model.family("x")
         a = x[("a",)]

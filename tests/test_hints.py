@@ -316,6 +316,10 @@ class TestEndToEnd:
         # would bnb — unless the chain's retry starts from the hint.
         # Another A-bank bias changes only the objective, so the starved
         # model has no proven optimum of its own and the hint seeds it.
+        # The hint is the spill-free solution; its variable names map
+        # onto both the spill-free and the full model.  Three lookups:
+        # the spill-free solve (highs stops without an incumbent), then
+        # the full model's chain, highs and the bnb retry.
         compile_nova(SOURCE, options=hinted_compile(tmp_path))
         starved = hinted_compile(tmp_path)
         starved.alloc.model.a_bank_bias = 1.02
@@ -328,7 +332,11 @@ class TestEndToEnd:
         bnb = [s for s in tracer.spans if s.name == "solve"][-1]
         assert bnb.counters["engine"] == "bnb"
         lookups = [s for s in tracer.spans if s.name == "portfolio.warm_start"]
-        assert [s.counters["outcome"] for s in lookups] == ["seeded"] * 2
+        assert [s.counters["outcome"] for s in lookups] == ["seeded"] * 3
+        solves = [s for s in tracer.spans if s.name == "solve"]
+        assert [s.counters["engine"] for s in solves] == ["highs"] * 2 + ["bnb"]
+        assert solves[0].counters["cols"] < solves[1].counters["cols"]
+        assert solves[1].counters["cols"] == solves[2].counters["cols"]
         # Without a hint the same budgets end at the baseline allocator.
         cold = CompileOptions()
         cold.alloc.model.a_bank_bias = 1.02

@@ -75,17 +75,17 @@ class TestProtocol:
     def test_options_round_trip(self):
         options = CompileOptions()
         options.run_allocator = False
-        options.alloc.two_phase = True
+        options.alloc.two_phase = False
         options.alloc.solve.gap = 1e-2
         wire = options_to_wire(options)
         # Sparse: only the three knobs that differ from the defaults.
         assert wire == {
             "run_allocator": False,
-            "alloc": {"two_phase": True, "solve": {"gap": 1e-2}},
+            "alloc": {"two_phase": False, "solve": {"gap": 1e-2}},
         }
         rebuilt = options_from_wire(wire)
         assert rebuilt.run_allocator is False
-        assert rebuilt.alloc.two_phase is True
+        assert rebuilt.alloc.two_phase is False
         assert rebuilt.alloc.solve.gap == 1e-2
         assert options_to_wire(CompileOptions()) == {}
 

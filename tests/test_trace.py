@@ -11,6 +11,8 @@ from repro.compiler import CompileOptions, compile_nova
 from repro.ixp.machine import Machine
 from repro.trace import NULL, NullTracer, Tracer, ensure, nearest_rank_index
 
+from tests.helpers import SPILLED_INPUTS_SOURCE
+
 SOURCE = """
 layout h = { a : 8, b : 24 };
 fun main (x) {
@@ -126,8 +128,15 @@ class TestPipelineSpans:
         assert model.counters["candidate_slots_pruned"] > 0
         assert solve.counters["nodes"] >= 1
         assert solve.counters["status"] == "optimal"
-        # With tracing on, the highs engine measures the root relaxation.
-        assert solve.counters["root_relaxation_seconds"] > 0
+        # Tracing does not change the work: no root-relaxation LP solve.
+        assert solve.counters["root_relaxation_seconds"] == 0
+
+    def test_root_relaxation_measured_only_on_request(self):
+        t = Tracer()
+        options = CompileOptions()
+        options.alloc.solve.root_relaxation = True
+        compile_nova(SOURCE, options=options, tracer=t)
+        assert t.get("solve").counters["root_relaxation_seconds"] > 0
 
     def test_ir_size_counters(self):
         t = Tracer()
@@ -141,13 +150,36 @@ class TestPipelineSpans:
         comp = compile_nova(SOURCE)
         assert comp.trace is None
 
-    def test_two_phase_traces_both_solves(self):
+    def test_default_traces_one_spill_free_solve(self):
+        # The spill-free model settles the allocation: one model/solve
+        # pair, smaller than the one-shot model's.
         t = Tracer()
+        compile_nova(SOURCE, tracer=t)
+        assert len(t.all("model")) == 1
+        assert len(t.all("solve")) == 1
+        one_shot = Tracer()
         options = CompileOptions()
-        options.alloc.two_phase = True
-        compile_nova(SOURCE, options=options, tracer=t)
-        assert len(t.all("model")) == 2
-        assert len(t.all("solve")) == 2
+        options.alloc.two_phase = False
+        compile_nova(SOURCE, options=options, tracer=one_shot)
+        assert len(one_shot.all("model")) == 1
+        assert len(one_shot.all("solve")) == 1
+        assert (
+            t.get("model").counters["variables"]
+            < one_shot.get("model").counters["variables"]
+        )
+
+    def test_spill_free_failure_traces_both_models(self):
+        # 36 inputs cannot all start in A or B: the spill-free model is
+        # infeasible, so the full model is built and solved after it.
+        t = Tracer()
+        comp = compile_nova(SPILLED_INPUTS_SOURCE, tracer=t)
+        solves = t.all("solve")
+        models = t.all("model")
+        assert len(models) == 2 and len(solves) == 2
+        assert solves[0].counters["status"] == "infeasible"
+        assert solves[1].counters["status"] == "optimal"
+        assert models[0].counters["variables"] < models[1].counters["variables"]
+        assert comp.alloc.variables == models[1].counters["variables"]
 
 
 class TestMachineSpans:
