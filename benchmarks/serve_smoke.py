@@ -4,10 +4,12 @@ Boots ``novac serve`` as a real subprocess on a temp Unix socket,
 compiles the same example twice (miss, then hot/hit with a lower
 server-side latency), then once more with the solver's time limit
 edited (a miss that must reuse the first miss's proven optimum and
-return its payload), checks the stats surface, then drain-shuts the
-daemon and verifies a clean exit with no orphaned pool workers.  The
-daemon leads its own process group, which its pool workers inherit, so
-when a check fails one signal stops the daemon and every worker.
+return its payload), and once with the A-bank bias edited (a miss that
+must solve cold and return the in-process compile's payload), checks
+the stats surface, then drain-shuts the daemon and verifies a clean
+exit with no orphaned pool workers.  The daemon leads its own process
+group, which its pool workers inherit, so when a check fails one signal
+stops the daemon and every worker.
 
 Run from the repo root::
 
@@ -28,7 +30,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.client import try_connect  # noqa: E402
-from repro.compiler import CompileOptions  # noqa: E402
+from repro.compiler import CompileOptions, compile_nova  # noqa: E402
 
 
 def fail(message: str) -> None:
@@ -99,16 +101,33 @@ def main() -> None:
                     fail(f"time-limit edit was {third['cache']}, expected miss")
                 if third["payload"] != first["payload"]:
                     fail("time-limit edit's payload differs from the first miss's")
-                outcomes = [
-                    span["counters"].get("outcome")
-                    for span in third["spans"]
-                    if span["name"] == "portfolio.warm_start"
-                ]
+                outcomes = _outcomes(third)
                 if outcomes != ["reused"]:
                     fail(f"time-limit edit's warm start was {outcomes}, not reused")
                 print(
                     f"serve_smoke: time-limit edit miss "
                     f"{third['server']['ms']}ms, optimum reused"
+                )
+
+                # A model knob changes the ILP: no optimum is stored for
+                # it, so the miss solves cold and returns the code an
+                # in-process compile of the same request returns.
+                knob = CompileOptions()
+                knob.alloc.model.a_bank_bias = 1.02
+                fourth = client.compile_source(
+                    source, "classify.nova", options=knob, trace=True
+                )
+                if fourth["cache"] != "miss":
+                    fail(f"a_bank_bias edit was {fourth['cache']}, expected miss")
+                outcomes = _outcomes(fourth)
+                if outcomes != ["none"]:
+                    fail(f"a_bank_bias edit's warm start was {outcomes}, not none")
+                local = compile_nova(source, "classify.nova", options=knob)
+                if fourth["payload"] != local.physical.pretty():
+                    fail("a_bank_bias edit's payload differs from in-process")
+                print(
+                    f"serve_smoke: a_bank_bias edit miss "
+                    f"{fourth['server']['ms']}ms, in-process payload"
                 )
 
                 stats = client.stats()
@@ -146,6 +165,15 @@ def main() -> None:
             except ProcessLookupError:
                 pass
             daemon.wait(timeout=10)
+
+
+def _outcomes(body: dict) -> list:
+    """The ``portfolio.warm_start`` outcomes of a traced response."""
+    return [
+        span["counters"].get("outcome")
+        for span in body["spans"]
+        if span["name"] == "portfolio.warm_start"
+    ]
 
 
 def _is_alive(pid: int) -> bool:

@@ -49,7 +49,6 @@ class AllocOptions:
     #: when that solve yields no allocation; False is the paper's
     #: one-shot model.
     two_phase: bool = True
-    spill_base: int = decode_mod.SPILL_BASE
     #: Degrade gracefully (``highs`` → ``bnb`` → baseline coloring) when
     #: a solver times out without an incumbent, fails numerically, or
     #: crashes on the full model.  Infeasible models raise regardless.
@@ -161,7 +160,7 @@ def allocate(
     solution, downgraded = _solve_chain(am.model, options, tracer)
     if solution is None:
         return _degrade_to_baseline(graph, options, tracer, downgraded)
-    return _finish(graph, am, solution, options, fallback=downgraded)
+    return _finish(graph, am, solution, fallback=downgraded)
 
 
 def first_model_options(options: AllocOptions) -> ModelOptions:
@@ -189,7 +188,7 @@ def _allocate_spill_free(
         return None
     if not solution.usable:
         return None
-    return _finish(graph, am, solution, options)
+    return _finish(graph, am, solution)
 
 
 def _degrade_to_baseline(
@@ -238,12 +237,12 @@ def _degrade_to_baseline(
     )
 
 
-def _finish(graph, am, solution, options, fallback=None) -> AllocResult:
+def _finish(graph, am, solution, fallback=None) -> AllocResult:
     alloc = extract_solution(am, solution)
     ab = abcolor.assign_ab_registers(
         graph, alloc.banks_before, alloc.banks_after, am.clone_rep
     )
-    decoded = decode_mod.decode(am, alloc, ab, options.spill_base)
+    decoded = decode_mod.decode(am, alloc, ab)
     stats = am.model.stats()
     return AllocResult(
         physical=decoded.graph,

@@ -29,7 +29,7 @@ from repro.ixp.flowgraph import Block, FlowGraph
 from repro.alloc.abcolor import SPARE_A, AbAssignment
 from repro.alloc.ilpmodel import AllocModel, AllocSolution
 
-#: Default first scratch word used for spill slots.
+#: First scratch word used for spill slots.
 SPILL_BASE = 960
 
 
@@ -88,13 +88,7 @@ def place_inputs(
 
 
 class _Decoder:
-    def __init__(
-        self,
-        am: AllocModel,
-        solution: AllocSolution,
-        ab: AbAssignment,
-        spill_base: int = SPILL_BASE,
-    ):
+    def __init__(self, am: AllocModel, solution: AllocSolution, ab: AbAssignment):
         self.am = am
         self.sol = solution
         self.ab = ab
@@ -112,7 +106,7 @@ class _Decoder:
             }
         )
         for i, v in enumerate(spilled):
-            self.spill_slots[v] = spill_base + i
+            self.spill_slots[v] = SPILL_BASE + i
 
     # -- register lookup ----------------------------------------------------
 
@@ -405,10 +399,7 @@ def _apply_renames(instr: isa.Instr, renames: dict) -> isa.Instr:
 
 
 def decode(
-    am: AllocModel,
-    solution: AllocSolution,
-    ab: AbAssignment,
-    spill_base: int = SPILL_BASE,
+    am: AllocModel, solution: AllocSolution, ab: AbAssignment
 ) -> DecodeResult:
     """Materialize an ILP solution as a physical-register flowgraph."""
-    return _Decoder(am, solution, ab, spill_base).run()
+    return _Decoder(am, solution, ab).run()

@@ -50,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.alloc.allocator import first_model_options
-from repro.alloc.decode import place_inputs
+from repro.alloc.decode import SPILL_BASE, place_inputs
 from repro.alloc.verify import check_solution
 from repro.cache import CompileCache, frontend_fingerprint, options_fingerprint
 from repro.compiler import (
@@ -69,7 +69,7 @@ from repro.trace import ensure
 
 #: scratch window reserved for spill slots / spilled inputs; excluded
 #: from memory comparison on physical runs (see repro.alloc.decode).
-SPILL_WINDOW = (960, 64)
+SPILL_WINDOW = (SPILL_BASE, 64)
 
 #: cycle budget per simulated vector — generated programs are tiny, so
 #: anything past this is a runaway loop (itself a finding).

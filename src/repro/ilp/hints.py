@@ -1,31 +1,21 @@
-"""``repro.ilp.hints`` — prior ILP solutions kept on disk.
+"""``repro.ilp.hints`` — proven ILP optima kept on disk.
 
-A :class:`HintStore` is a directory holding two kinds of entry:
+A :class:`HintStore` is a directory of proven optima, keyed by
+:func:`solve_digest` — a sha256 of the model's standard form (cost
+vector, CSR constraint matrix, row bounds, shape) plus the engine, the
+MIP gap and scipy's version.  An entry records the *indices* of the
+one-valued variables, since the digest pins the index space, and the
+objective.  Only a cold solve that ended ``optimal`` writes one.  Both
+engines are deterministic, so an identical model is answered by the
+entry instead of a solve: :func:`reused_optimum` returns exactly what a
+cold solve would.  A solver-budget or comment-only recompile thus costs
+a model build.
 
-- **Proven optima**, keyed by :func:`solve_digest` — a sha256 of the
-  model's standard form (cost vector, CSR constraint matrix, row
-  bounds, shape) plus the engine, the MIP gap and scipy's version.  An
-  entry records the *indices* of the one-valued variables, since the
-  digest pins the index space, and the objective.  Only a cold solve
-  that ended ``optimal`` writes one.  Both engines are deterministic,
-  so an identical model is answered by the entry instead of a solve:
-  :func:`reused_optimum` returns exactly what a cold solve would.  A
-  solver-budget or comment-only recompile thus costs a model build.
-- **Warm-start hints**, keyed by the caller's model key (the compile
-  daemon uses the front-end fingerprint + source, so allocator-knob-only
-  variants of one program share one incumbent, the way Merlin's
-  incremental provisioning reuses solutions of near-identical models).
-  A hint records the *names* of the one-valued variables plus the
-  objective.  Names survive model rebuilds (variable ids do not), so a
-  hint maps onto the nearest prior model's successor.
-  :func:`hint_incumbent` maps it and checks it is feasible; a stale or
-  structurally incompatible hint is simply ignored.
-
-Both lookups validate the stored point against every constraint row
+The lookup validates the stored point against every constraint row
 before use, and an unreadable entry reads as "absent".
-:func:`repro.ilp.solve.solve_model` does the lookups and the saves
-whenever :attr:`SolveOptions.hint_dir` and ``hint_key`` are set; this
-module only hides the file formats.
+:func:`repro.ilp.solve.solve_model` does the lookup and the save
+whenever :attr:`SolveOptions.hint_dir` is set; this module only hides
+the file format.
 """
 
 from __future__ import annotations
@@ -36,70 +26,32 @@ import math
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.ilp.model import Model, Solution
 
-if TYPE_CHECKING:
-    import numpy as np
-
 #: Constraint-row tolerance when validating a stored point against a model.
 FEAS_TOL = 1e-6
-
-#: Bumped when the hint file layout changes; stale formats read as "no hint".
-HINT_FORMAT = 1
 
 #: Bumped when the proven-optimum layout or digest changes.
 OPTIMUM_FORMAT = 1
 
 
 class HintStore:
-    """Directory of prior ILP solutions: hints by model key, optima by digest.
+    """Directory of proven ILP optima, keyed by :func:`solve_digest`.
 
     Same two-level fan-out and atomic-write discipline as
-    :class:`repro.cache.CompileCache`; proven optima live under
-    ``optima/``.  Any unreadable entry reads as absent, never an
-    exception.  Entries are tiny (the one-valued variables only — a few
-    KB even for the paper's 10^5-variable models).
+    :class:`repro.cache.CompileCache`, under ``optima/``.  Any
+    unreadable entry reads as absent, never an exception.  Entries are
+    tiny (the one-valued variables only — a few KB even for the paper's
+    10^5-variable models).
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key[2:]}.json"
-
     def optimum_path(self, digest: str) -> Path:
         return self.root / "optima" / digest[:2] / f"{digest[2:]}.json"
-
-    def load(self, key: str) -> dict | None:
-        doc = _read(self.path_for(key))
-        if (
-            doc is None
-            or doc.get("format") != HINT_FORMAT
-            or not isinstance(doc.get("ones"), list)
-            or not isinstance(doc.get("objective"), (int, float))
-        ):
-            return None
-        return doc
-
-    def save(self, key: str, model: Model, solution: Solution) -> None:
-        """Record a solution's one-valued variable names; atomic."""
-        ones = [
-            model.name_of(var)
-            for var in range(model.num_vars)
-            if solution.values[var] > 0.5
-        ]
-        _write(
-            self.path_for(key),
-            {
-                "format": HINT_FORMAT,
-                "objective": float(solution.objective),
-                "status": solution.status,
-                "ones": ones,
-            },
-        )
 
     def load_optimum(self, digest: str) -> dict | None:
         doc = _read(self.optimum_path(digest))
@@ -182,18 +134,6 @@ def solve_digest(model: Model, engine: str, gap: float) -> str:
     return digest.hexdigest()
 
 
-def _checked_point(model: Model, x: np.ndarray) -> float | None:
-    """``c @ x`` when ``x`` satisfies every constraint row, else None."""
-    import numpy as np
-
-    c, matrix, lb, ub = model.standard_form()
-    if len(model.constraints):
-        row = matrix @ x
-        if np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL):
-            return None
-    return float(c @ x)
-
-
 def reused_optimum(model: Model, entry: dict) -> Solution | None:
     """The stored proven optimum as a :class:`Solution`; None unless valid.
 
@@ -210,33 +150,15 @@ def reused_optimum(model: Model, entry: dict) -> Solution | None:
     if ones and (min(ones) < 0 or max(ones) >= model.num_vars):
         return None
     x[ones] = 1.0
-    objective = _checked_point(model, x)
+    c, matrix, lb, ub = model.standard_form()
+    if len(model.constraints):
+        row = matrix @ x
+        if np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL):
+            return None
     stored = float(entry["objective"])
-    if objective is None or not math.isclose(
-        objective, stored, rel_tol=FEAS_TOL, abs_tol=FEAS_TOL
+    if not math.isclose(
+        float(c @ x), stored, rel_tol=FEAS_TOL, abs_tol=FEAS_TOL
     ):
         return None
     return Solution("optimal", stored, x, 0.0, 0.0, 0, float(entry["gap"]))
 
-
-def hint_incumbent(
-    model: Model, hint: dict
-) -> tuple[float, np.ndarray] | None:
-    """Map a stored hint onto ``model``; None unless it is feasible there.
-
-    Variables are matched by *name* (family + index tuple), so the hint
-    survives model rebuilds and moderate option changes; names the model
-    does not know are dropped, and the projected point is then checked
-    against every constraint row.  The objective is recomputed from the
-    model's own cost vector — the stored value is advisory only.
-    """
-    import numpy as np
-
-    names = {model.name_of(var): var for var in range(model.num_vars)}
-    x = np.zeros(model.num_vars)
-    for name in hint["ones"]:
-        var = names.get(name)
-        if var is not None:
-            x[var] = 1.0
-    objective = _checked_point(model, x)
-    return None if objective is None else (objective, x)

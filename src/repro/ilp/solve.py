@@ -17,14 +17,12 @@ otherwise.  A tracer never turns it on: tracing a compile must not
 change the work it does, so a traced ``highs`` solve reports a root
 time of 0 unless the option asks for it.
 
-Warm starts: when :attr:`SolveOptions.hint_dir` and ``hint_key`` are
-set, :func:`solve_model` consults a :class:`~repro.ilp.hints.HintStore`.
-A proven optimum of the identical model (same standard form, engine,
-gap and scipy) is returned without a solve.  Otherwise a prior solution
-under ``hint_key`` is validated against the model and handed to the
-engine — ``highs`` as an objective-bound cut, ``bnb`` as its starting
-incumbent.  Every usable result is recorded under ``hint_key`` for the
-next solve, and a cold solve's optimum also by content.
+Reuse by content: when :attr:`SolveOptions.hint_dir` is set,
+:func:`solve_model` consults a :class:`~repro.ilp.hints.HintStore`.  A
+proven optimum of the identical model (same standard form, engine, gap
+and scipy) is returned without a solve; otherwise the engine solves
+cold, exactly as without a store, and an ``optimal`` result is recorded
+by content for the next solve.
 
 numpy and scipy are imported by the functions that use them, not by this
 module: every process that builds a :class:`CompileOptions` imports
@@ -38,12 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.ilp.hints import (
-    HintStore,
-    hint_incumbent,
-    reused_optimum,
-    solve_digest,
-)
+from repro.ilp.hints import HintStore, reused_optimum, solve_digest
 from repro.ilp.model import Model, Solution
 from repro.trace import ensure
 
@@ -64,16 +57,11 @@ class SolveOptions:
     #: (the ``bnb`` engine gets it for free from its first node;
     #: ``highs`` needs the extra solve, which a tracer does not trigger).
     root_relaxation: bool = False
-    #: Warm-start hint store, for any engine: directory of prior
-    #: solutions and the key of the nearest prior model (the compile
-    #: daemon uses the front-end fingerprint, so allocator-knob-only
-    #: variants share one incumbent).  Both must be set for a warm start.
+    #: Directory of proven optima (a :class:`HintStore`), for any
+    #: engine: an identical model's optimum is returned without a solve.
     #: Runtime plumbing, not part of the problem statement — excluded
     #: from cache fingerprints.
     hint_dir: str | None = field(
-        default=None, metadata={"fingerprint": False}
-    )
-    hint_key: str | None = field(
         default=None, metadata={"fingerprint": False}
     )
 
@@ -171,19 +159,13 @@ def solve_model(
 
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
     with tracer.span("solve", engine=options.engine) as sp:
-        store, digest, reused, warm = _warm_start(model, options, tracer)
-        if reused is not None:
-            solution = reused
-        elif options.engine == "bnb":
-            solution = _solve_bnb(model, options, incumbent=warm)
-        else:
-            solution = _solve_highs(
-                model, options, upper_bound=warm[0] if warm else None
-            )
-        if store is not None and reused is None and solution.usable:
-            store.save(options.hint_key, model, solution)
-            # Only a cold solve's optimum is what a cold solve returns.
-            if warm is None and solution.status == "optimal":
+        store, digest, solution = _reuse(model, options, tracer)
+        if solution is None:
+            if options.engine == "bnb":
+                solution = _solve_bnb(model, options)
+            else:
+                solution = _solve_highs(model, options)
+            if store is not None and solution.status == "optimal":
                 store.save_optimum(digest, solution)
         if sp:
             sp.add(
@@ -200,43 +182,28 @@ def solve_model(
     return solution
 
 
-def _warm_start(model: Model, options: SolveOptions, tracer):
-    """Look up a proven optimum, then a warm-start hint.
+def _reuse(model: Model, options: SolveOptions, tracer):
+    """Look up a proven optimum of this identical model.
 
-    Returns ``(store, digest, reused, incumbent)``: the store and the
-    model's :func:`~repro.ilp.hints.solve_digest`, the stored optimum
-    of this identical model as a :class:`Solution` or None, and else a
-    validated hint's ``(objective, x)`` or None.  All four are None
-    unless ``options`` names a hint store and key.  The span keeps its
-    historical ``portfolio.warm_start`` name, which existing trace
-    consumers read.
+    Returns ``(store, digest, reused)``: the store, the model's
+    :func:`~repro.ilp.hints.solve_digest`, and the stored optimum as a
+    :class:`Solution` or None.  All three are None unless ``options``
+    names a store.  The span keeps its historical
+    ``portfolio.warm_start`` name, which existing trace consumers read.
     """
-    if not options.hint_dir or not options.hint_key:
-        return None, None, None, None
+    if not options.hint_dir:
+        return None, None, None
     store = HintStore(options.hint_dir)
-    with tracer.span(
-        "portfolio.warm_start", key=options.hint_key[:12]
-    ) as sp:
+    with tracer.span("portfolio.warm_start") as sp:
         digest = solve_digest(model, options.engine, options.gap)
         entry = store.load_optimum(digest)
         reused = reused_optimum(model, entry) if entry is not None else None
-        warm = None
-        if reused is not None:
-            outcome = "reused"
-        else:
-            hint = store.load(options.hint_key)
-            warm = hint_incumbent(model, hint) if hint is not None else None
-            if hint is None:
-                outcome = "none"
-            elif warm is None:
-                outcome = "stale"  # structurally incompatible or infeasible
-            else:
-                outcome = "seeded"
         if sp:
-            sp.add(outcome=outcome)
-            if warm is not None:
-                sp.add(incumbent=warm[0])
-    return store, digest, reused, warm
+            sp.add(
+                key=digest[:12],
+                outcome="none" if reused is None else "reused",
+            )
+    return store, digest, reused
 
 
 #: :func:`scipy.optimize.milp` status codes → :class:`Solution` statuses
@@ -244,21 +211,10 @@ def _warm_start(model: Model, options: SolveOptions, tracer):
 _MILP_STATUS = {2: "infeasible", 3: "unbounded", 4: "failed"}
 
 
-def _solve_highs(
-    model: Model,
-    options: SolveOptions,
-    upper_bound: float | None = None,
-) -> Solution:
-    """HiGHS branch & cut via :func:`scipy.optimize.milp`.
-
-    ``upper_bound`` is a warm-start hint: the objective value of a known
-    feasible solution.  Minimization means any optimal point satisfies
-    ``c @ x <= upper_bound``, so the bound is added as one extra
-    constraint row — HiGHS prunes everything above it without being told
-    the incumbent itself (scipy exposes no warm-start API).
-    """
+def _solve_highs(model: Model, options: SolveOptions) -> Solution:
+    """HiGHS branch & cut via :func:`scipy.optimize.milp`."""
     import numpy as np
-    from scipy import optimize, sparse
+    from scipy import optimize
 
     c, matrix, lb, ub = model.standard_form()
     # milp does not report the root-relaxation time; measure it with a
@@ -270,11 +226,6 @@ def _solve_highs(
     constraints = []
     if len(model.constraints):
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
-    if upper_bound is not None and math.isfinite(upper_bound):
-        bound_row = sparse.csr_matrix(c.reshape(1, -1))
-        constraints.append(
-            optimize.LinearConstraint(bound_row, -np.inf, upper_bound + 1e-6)
-        )
     milp_options = {"mip_rel_gap": options.gap}
     if options.time_limit is not None:
         milp_options["time_limit"] = options.time_limit
@@ -338,11 +289,7 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return (incumbent - bound) / max(1.0, abs(incumbent))
 
 
-def _solve_bnb(
-    model: Model,
-    options: SolveOptions,
-    incumbent: tuple[float, np.ndarray] | None = None,
-) -> Solution:
+def _solve_bnb(model: Model, options: SolveOptions) -> Solution:
     """Depth-first branch-and-bound with best-bound pruning.
 
     LP relaxations are solved by HiGHS ``linprog`` with variable fixings
@@ -353,12 +300,6 @@ def _solve_bnb(
     the minimum over open nodes — so the search stops as soon as the
     incumbent is within ``options.gap`` of it (relative MIP gap), exactly
     like CPLEX's ``mipgap`` termination.
-
-    ``incumbent`` warm-starts the search with ``(objective, x)`` of a
-    known-feasible solution (the caller must have validated feasibility
-    against *this* model): the initial upper bound prunes from node one,
-    and when the root LP bound already proves the incumbent within the
-    gap the search terminates after a single LP solve.
     """
     import numpy as np
     from scipy import optimize
@@ -390,9 +331,6 @@ def _solve_bnb(
 
     best_obj = math.inf
     best_x: np.ndarray | None = None
-    if incumbent is not None:
-        best_obj, warm_x = incumbent
-        best_x = np.asarray(warm_x, dtype=float)
     best_bound = -math.inf
     nodes = 0
     status = "optimal"

@@ -23,8 +23,8 @@ Options travel as a *sparse* nested dict: only the knobs the client
 explicitly set (:func:`options_to_wire` diffs against the defaults);
 everything the client left unsaid takes the same default an in-process
 compile would, so daemon and in-process compiles share cache keys.  The
-daemon only adds the fingerprint-excluded warm-start fields
-(``hint_dir``/``hint_key``), which the wire therefore never carries.
+daemon only adds the fingerprint-excluded ``hint_dir`` (its store of
+proven ILP optima), which the wire therefore never carries.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def decode(line: bytes) -> dict:
 _NESTED = {"alloc": AllocOptions, "model": ModelOptions, "solve": SolveOptions}
 
 #: Runtime-only fields the daemon owns; never accepted from the wire.
-_SERVER_ONLY = {"hint_dir", "hint_key"}
+_SERVER_ONLY = {"hint_dir"}
 
 
 def options_to_wire(options: CompileOptions) -> dict:

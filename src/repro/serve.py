@@ -4,10 +4,11 @@ One long-lived process owns what every ad-hoc ``novac`` invocation pays
 for from scratch: a shared :class:`repro.cache.CompileCache`, a warm
 :class:`~concurrent.futures.ProcessPoolExecutor` of compile workers, a
 hot in-memory LRU of rendered responses, and the
-:class:`repro.ilp.hints.HintStore` that warm-starts the allocation ILP on
-cache misses.  Importing this module loads neither numpy nor scipy;
-:meth:`CompileServer.run` loads them before it accepts work, so the
-workers, forked from the daemon, start with the solver stack imported.
+:class:`repro.ilp.hints.HintStore` of proven allocation-ILP optima that
+answers a cache miss whose ILP it has already solved.  Importing this
+module loads neither numpy nor scipy; :meth:`CompileServer.run` loads
+them before it accepts work, so the workers, forked from the daemon,
+start with the solver stack imported.
 
 The daemon is a stdlib-``asyncio`` socket server speaking the
 newline-JSON protocol of :mod:`repro.proto` over a Unix socket (or TCP
@@ -15,8 +16,8 @@ for tests/containers).  A compile request walks three tiers::
 
     hot LRU (rendered response, sub-ms; keyed by the request itself)
       → disk cache (unpickle an artifact, a few ms)
-        → worker pool (full compile; the allocation ILP is
-          warm-started from the nearest prior solution)
+        → worker pool (full compile; an allocation ILP solved
+          before is answered by its proven optimum)
 
 The hot tier is keyed by the request as sent: source, filename, payload
 kind and the canonical JSON of the wire options.  A rendered payload
@@ -24,10 +25,10 @@ depends on the filename (a listing's title), which the artifact's key
 does not cover, and a hot hit parses no options.  Past the hot tier the
 daemon parses the options; the disk and pool tiers are keyed by the
 artifact's :func:`repro.cache.cache_key`.  The one thing the daemon adds
-to them: allocator compiles get ``hint_dir`` under the cache directory and
-a ``hint_key`` derived from the *front-end* fingerprint + source, so
-allocator-knob-only variants of one program share one incumbent.  Both
-fields are fingerprint-excluded, so a daemon's cache keys equal
+to them: allocator compiles get ``hint_dir`` under the cache directory.
+A solve looks up only the proven optimum of its identical ILP, which is
+what a cold solve returns, so a miss returns the in-process code.  The
+field is fingerprint-excluded, so a daemon's cache keys equal
 in-process ones and the two share one disk cache.  The solver engine is
 the client's (or the default ``highs``).
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import hashlib
 import json
 import multiprocessing
 import os
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.batch import BatchError, default_jobs, merge_cache_stats
-from repro.cache import CompileCache, frontend_fingerprint
+from repro.cache import CompileCache
 from repro.compiler import Compilation, CompileOptions, compile_nova
 from repro.ilp.solve import load_solver_stack
 from repro.proto import (
@@ -90,20 +90,6 @@ class ServeConfig:
         if self.socket:
             return self.socket
         return f"{self.host}:{self.port}"
-
-
-def hint_key_for(source: str, options: CompileOptions) -> str:
-    """Warm-start key: front-end fingerprint + source.
-
-    Deliberately coarser than :func:`repro.cache.cache_key` — two option
-    points differing only in allocator knobs hash identically, so a
-    solution found under one warm-starts the solve under the other.
-    """
-    digest = hashlib.sha256()
-    digest.update(frontend_fingerprint(options).encode())
-    digest.update(b"\n")
-    digest.update(source.encode())
-    return digest.hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -463,11 +449,10 @@ class CompileServer:
         want_trace = bool(request.get("trace"))
         options = options_from_wire(request.get("options"))
         # Past the hot tier, an allocator compile may solve: give it the
-        # warm-start hint.  Both fields are fingerprint-excluded, so the
-        # cache key stays the artifact's key.
+        # store of proven optima.  The field is fingerprint-excluded, so
+        # the cache key stays the artifact's key.
         if options.run_allocator:
             options.alloc.solve.hint_dir = str(self.hint_dir)
-            options.alloc.solve.hint_key = hint_key_for(source, options)
         # Disk tier: unpickling a slim artifact is a few ms, but off the
         # event loop anyway so a large listing render can't stall other
         # clients.

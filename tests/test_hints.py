@@ -1,4 +1,4 @@
-"""Warm starts: `repro.ilp.hints` and the hint lookup in `solve_model`."""
+"""Proven optima reused by content: `repro.ilp.hints` and `solve_model`."""
 
 import dataclasses
 import json
@@ -6,14 +6,8 @@ import json
 import pytest
 
 from repro.alloc.allocator import AllocOptions, allocate
-from repro.cache import frontend_fingerprint
 from repro.compiler import CompileOptions, compile_nova
-from repro.ilp.hints import (
-    HINT_FORMAT,
-    HintStore,
-    hint_incumbent,
-    solve_digest,
-)
+from repro.ilp.hints import OPTIMUM_FORMAT, HintStore, solve_digest
 from repro.ilp.model import Model
 from repro.ilp.solve import ENGINES, SolveOptions, solve_model
 from repro.trace import Tracer
@@ -22,8 +16,8 @@ from repro.trace import Tracer
 def assignment_model(n=4, shift=0):
     """n×n one-to-one assignment; unique optimum on distinct costs.
 
-    ``shift`` changes only the objective, so an optimum of one shift is
-    a feasible warm start for another.
+    ``shift`` changes only the objective: another model, and another
+    digest, over the same constraints.
     """
     m = Model("assign")
     x = m.family("x")
@@ -56,64 +50,43 @@ def outcome(tracer):
 
 
 def hinted(tmp_path, engine="highs"):
-    return SolveOptions(
-        engine=engine, hint_dir=str(tmp_path / "hints"), hint_key="ab" * 32
-    )
+    return SolveOptions(engine=engine, hint_dir=str(tmp_path / "hints"))
 
 
 def hinted_compile(tmp_path):
     options = CompileOptions()
     options.alloc.solve.hint_dir = str(tmp_path / "hints")
-    options.alloc.solve.hint_key = "ef" * 32
     return options
 
 
 class TestHints:
-    def test_store_roundtrip_and_seeded_warm_start(self, tmp_path):
-        options = hinted(tmp_path)
-        tracer = Tracer()
-        first = solve_model(assignment_model(), options, tracer)
-        assert tracer.get("portfolio.warm_start").counters["outcome"] == "none"
-        assert HintStore(options.hint_dir).load(options.hint_key) is not None
-
-        # Only the objective differs, so the model is not the one whose
-        # optimum was recorded, and the first optimum seeds its solve.
-        perturbed = assignment_model(shift=1)
-        cold = solve_model(assignment_model(shift=1), SolveOptions())
-        warm_tracer = Tracer()
-        warm = solve_model(perturbed, options, warm_tracer)
-        ws = warm_tracer.get("portfolio.warm_start")
-        assert ws.counters["outcome"] == "seeded"
-        c = perturbed.standard_form()[0]
-        assert ws.counters["incumbent"] == pytest.approx(c @ first.values)
-        assert warm.status == "optimal"
-        assert warm.objective == pytest.approx(cold.objective)
-
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_start_runs_inside_every_engines_solve(self, engine, tmp_path):
-        # The hint recorded by one engine seeds the other: hints are
-        # names of one-valued variables, not engine state.
-        other = next(e for e in ENGINES if e != engine)
-        reference = solve_model(assignment_model(), hinted(tmp_path, other))
-        tracer = Tracer()
-        warm = solve_model(assignment_model(), hinted(tmp_path, engine), tracer)
-        solve = tracer.get("solve")
-        lookup = tracer.get("portfolio.warm_start")
-        assert solve.counters["engine"] == engine
-        assert lookup.parent == "solve"
-        assert lookup.counters["outcome"] == "seeded"
-        assert warm.status == "optimal"
-        assert warm.objective == pytest.approx(reference.objective)
-
-    def test_no_lookup_without_both_hint_fields(self, tmp_path):
-        for options in (
-            SolveOptions(hint_dir=str(tmp_path / "hints")),
-            SolveOptions(hint_key="ab" * 32),
-        ):
+        # The lookup nests under either engine's solve span: the first
+        # solve finds nothing and records its optimum, the second
+        # reuses it.  Both return what a solve without a store returns.
+        reference = solve_model(assignment_model(), SolveOptions(engine=engine))
+        options = hinted(tmp_path, engine)
+        digest = solve_digest(assignment_model(), engine, options.gap)
+        for expected in ("none", "reused"):
             tracer = Tracer()
-            solve_model(assignment_model(), options, tracer)
-            assert tracer.get("portfolio.warm_start") is None
-        assert not (tmp_path / "hints").exists()
+            solution = solve_model(assignment_model(), options, tracer)
+            solve = tracer.get("solve")
+            lookup = tracer.get("portfolio.warm_start")
+            assert solve.counters["engine"] == engine
+            assert lookup.parent == "solve"
+            assert lookup.counters["outcome"] == expected
+            assert lookup.counters["key"] == digest[:12]
+            assert solution.status == "optimal"
+            assert solution.objective == reference.objective
+            assert (solution.values == reference.values).all()
+
+    def test_no_lookup_without_both_hint_fields(self):
+        # Without hint_dir a solve is the plain cold solve: no lookup.
+        tracer = Tracer()
+        solve_model(assignment_model(), SolveOptions(), tracer)
+        assert tracer.get("solve") is not None
+        assert tracer.get("portfolio.warm_start") is None
 
     def test_unusable_result_is_not_recorded(self, tmp_path):
         m = Model("infeasible")
@@ -123,63 +96,22 @@ class TestHints:
         options = hinted(tmp_path)
         assert solve_model(m, options).status == "infeasible"
         store = HintStore(options.hint_dir)
-        assert store.load(options.hint_key) is None
         assert store.load_optimum(solve_digest(m, "highs", options.gap)) is None
-
-    def test_incumbent_maps_by_name_and_validates(self):
-        m = assignment_model()
-        reference = solve_model(m, SolveOptions(engine="highs"))
-        store_hint = {
-            "format": HINT_FORMAT,
-            "objective": float(reference.objective),
-            "status": "optimal",
-            "ones": [
-                m.name_of(v)
-                for v in range(m.num_vars)
-                if reference.values[v] > 0.5
-            ],
-        }
-        warm = hint_incumbent(m, store_hint)
-        assert warm is not None
-        assert warm[0] == pytest.approx(reference.objective)
-        # Unknown names are dropped; the truncated point then violates
-        # the assignment rows and the hint is rejected, not mis-seeded.
-        stale = dict(store_hint, ones=["x[99,99]"] + store_hint["ones"][1:])
-        assert hint_incumbent(m, stale) is None
+        assert not list(store.root.rglob("*.json"))
 
     def test_tampered_hint_file_reads_as_no_hint(self, tmp_path):
         store = HintStore(tmp_path)
-        key = "cd" * 32
-        path = store.path_for(key)
+        digest = "cd" * 32
+        path = store.optimum_path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("not json {")
-        assert store.load(key) is None
+        assert store.load_optimum(digest) is None
         assert not path.exists()  # corrupt entry deleted
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"format": HINT_FORMAT + 1, "ones": []}))
-        assert store.load(key) is None  # wrong format version
-
-    def test_bnb_accepts_a_seeded_incumbent(self):
-        from repro.ilp.solve import _solve_bnb
-
-        m = assignment_model()
-        reference = solve_model(m, SolveOptions(engine="highs"))
-        warm = hint_incumbent(
-            m,
-            {
-                "format": HINT_FORMAT,
-                "objective": float(reference.objective),
-                "status": "optimal",
-                "ones": [
-                    m.name_of(v)
-                    for v in range(m.num_vars)
-                    if reference.values[v] > 0.5
-                ],
-            },
-        )
-        solution = _solve_bnb(m, SolveOptions(engine="bnb"), incumbent=warm)
-        assert solution.status == "optimal"
-        assert solution.objective == pytest.approx(reference.objective)
+        entry = {"format": OPTIMUM_FORMAT, "objective": 1.0, "gap": 0.0, "ones": []}
+        path.write_text(json.dumps(entry))
+        assert store.load_optimum(digest) == entry
+        path.write_text(json.dumps(dict(entry, format=OPTIMUM_FORMAT + 1)))
+        assert store.load_optimum(digest) is None  # wrong format version
 
 
 class TestReuse:
@@ -196,15 +128,14 @@ class TestReuse:
         def no_solve(*args, **kwargs):
             raise AssertionError("a reused optimum must not call the solver")
 
+        path = HintStore(options.hint_dir).optimum_path(
+            solve_digest(assignment_model(), engine, options.gap)
+        )
+        written = path.stat().st_mtime_ns
         monkeypatch.setattr("scipy.optimize.milp", no_solve)
         monkeypatch.setattr("scipy.optimize.linprog", no_solve)
-        # Another budget and another hint key: neither is in the digest.
-        again = SolveOptions(
-            engine=engine,
-            time_limit=1.0,
-            hint_dir=options.hint_dir,
-            hint_key="cd" * 32,
-        )
+        # Another budget: it is not in the digest.
+        again = dataclasses.replace(options, time_limit=1.0)
         tracer = Tracer()
         reused = solve_model(assignment_model(), again, tracer)
         assert outcome(tracer) == "reused"
@@ -213,8 +144,9 @@ class TestReuse:
         assert reused.gap == cold.gap
         assert (reused.values == cold.values).all()
         assert tracer.get("solve").counters["nodes"] == 0
-        # A reuse is a lookup: it records no hint of its own.
-        assert HintStore(options.hint_dir).load(again.hint_key) is None
+        # A reuse is a lookup: it writes nothing.
+        assert list(tmp_path.joinpath("hints").rglob("*.json")) == [path]
+        assert path.stat().st_mtime_ns == written
 
     def test_no_reuse_across_engine_gap_or_scipy_version(
         self, tmp_path, monkeypatch
@@ -229,34 +161,45 @@ class TestReuse:
         ):
             tracer = Tracer()
             solve_model(assignment_model(), variant, tracer)
-            assert outcome(tracer) == "seeded"
+            assert outcome(tracer) == "none"
         monkeypatch.setattr(scipy, "__version__", scipy.__version__ + "+other")
         tracer = Tracer()
         solve_model(assignment_model(), options, tracer)
-        assert outcome(tracer) == "seeded"
+        assert outcome(tracer) == "none"
 
     def test_no_reuse_after_a_seeded_solve(self, tmp_path):
+        # No solve is seeded from another model's solution: an
+        # objective-only variant of a stored model solves cold, exactly
+        # as without a store, and records its own optimum, which the
+        # next solve of the variant reuses.
         options = hinted(tmp_path)
         solve_model(assignment_model(), options)
-        for _ in range(2):
-            tracer = Tracer()
-            seeded = solve_model(assignment_model(shift=1), options, tracer)
-            assert outcome(tracer) == "seeded"
-            assert seeded.status == "optimal"
+        storeless = solve_model(assignment_model(shift=1), SolveOptions())
+        tracer = Tracer()
+        variant = solve_model(assignment_model(shift=1), options, tracer)
+        assert outcome(tracer) == "none"
+        assert variant.status == "optimal"
+        assert variant.objective == storeless.objective
+        assert (variant.values == storeless.values).all()
         digest = solve_digest(assignment_model(shift=1), "highs", options.gap)
-        assert HintStore(options.hint_dir).load_optimum(digest) is None
+        assert HintStore(options.hint_dir).load_optimum(digest) is not None
+        tracer = Tracer()
+        again = solve_model(assignment_model(shift=1), options, tracer)
+        assert outcome(tracer) == "reused"
+        assert (again.values == storeless.values).all()
 
     def test_no_reuse_after_a_non_optimal_solve(self, tmp_path):
         # Two nodes find the optimum's point but not its proof.
         options = dataclasses.replace(hinted(tmp_path, "bnb"), node_limit=2)
         starved = solve_model(triangle_cover_model(), options)
         assert starved.status == "timeout" and starved.usable
+        digest = solve_digest(triangle_cover_model(), "bnb", options.gap)
+        assert HintStore(options.hint_dir).load_optimum(digest) is None
         tracer = Tracer()
         full = dataclasses.replace(options, node_limit=200_000)
         assert solve_model(triangle_cover_model(), full, tracer).status == "optimal"
-        assert outcome(tracer) == "seeded"
-        digest = solve_digest(triangle_cover_model(), "bnb", options.gap)
-        assert HintStore(options.hint_dir).load_optimum(digest) is None
+        assert outcome(tracer) == "none"
+        assert HintStore(options.hint_dir).load_optimum(digest) is not None
 
     @pytest.mark.parametrize(
         "tamper",
@@ -281,7 +224,7 @@ class TestReuse:
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         tracer = Tracer()
         again = solve_model(assignment_model(), options, tracer)
-        assert outcome(tracer) == "seeded"
+        assert outcome(tracer) == "none"
         assert again.objective == pytest.approx(cold.objective)
 
 
@@ -299,50 +242,52 @@ class TestEndToEnd:
         options = hinted_compile(tmp_path)
         comp = compile_nova(SOURCE, options=options)
         assert comp.alloc.status == "optimal"
-        # A second compile under different allocator knobs still shares
-        # the incumbent: the key is the *front-end* fingerprint.
-        variant = CompileOptions()
+        # Another gap is another solve: the variant finds no optimum of
+        # its own and solves cold, so its code is the in-process code.
+        variant = hinted_compile(tmp_path)
         variant.alloc.solve.gap = 1e-3
-        assert frontend_fingerprint(options) == frontend_fingerprint(variant)
-        variant.alloc.solve.hint_dir = options.alloc.solve.hint_dir
-        variant.alloc.solve.hint_key = options.alloc.solve.hint_key
         tracer = Tracer()
         again = compile_nova(SOURCE, options=variant, tracer=tracer)
-        assert tracer.get("portfolio.warm_start").counters["outcome"] == "seeded"
+        assert outcome(tracer) == "none"
+        local = CompileOptions()
+        local.alloc.solve.gap = 1e-3
+        assert (
+            again.physical.pretty()
+            == compile_nova(SOURCE, options=local).physical.pretty()
+        )
         assert again.alloc.moves == comp.alloc.moves
 
     def test_fallback_bnb_retry_is_warm(self, tmp_path):
-        # Zero budgets: highs stops before finding a solution, and so
-        # would bnb — unless the chain's retry starts from the hint.
-        # Another A-bank bias changes only the objective, so the starved
-        # model has no proven optimum of its own and the hint seeds it.
-        # The hint is the spill-free solution; its variable names map
-        # onto both the spill-free and the full model.  Three lookups:
-        # the spill-free solve (highs stops without an incumbent), then
-        # the full model's chain, highs and the bnb retry.
+        # Zero budgets on a model the store has not solved: another
+        # A-bank bias changes the objective, so every lookup finds
+        # nothing and every stage solves cold.  Three lookups: the
+        # spill-free solve (highs stops without an incumbent), then the
+        # full model's chain, highs and the bnb retry, which stops too,
+        # so the baseline allocator answers, as it does without a store.
+        def starved(options):
+            options.alloc.model.a_bank_bias = 1.02
+            options.alloc.solve.time_limit = 0.0
+            options.alloc.fallback_time_limit = 0.0
+            return options
+
         compile_nova(SOURCE, options=hinted_compile(tmp_path))
-        starved = hinted_compile(tmp_path)
-        starved.alloc.model.a_bank_bias = 1.02
-        starved.alloc.solve.time_limit = 0.0
-        starved.alloc.fallback_time_limit = 0.0
         tracer = Tracer()
-        comp = compile_nova(SOURCE, options=starved, tracer=tracer)
-        assert comp.alloc.fallback == "bnb"
-        assert comp.alloc.status == "timeout"
-        bnb = [s for s in tracer.spans if s.name == "solve"][-1]
-        assert bnb.counters["engine"] == "bnb"
+        comp = compile_nova(
+            SOURCE, options=starved(hinted_compile(tmp_path)), tracer=tracer
+        )
+        assert comp.alloc.fallback == "baseline"
+        assert comp.alloc.status == "baseline"
+        stages = [s.counters["stage"] for s in tracer.spans if s.name == "fallback"]
+        assert stages == ["bnb", "baseline"]
         lookups = [s for s in tracer.spans if s.name == "portfolio.warm_start"]
-        assert [s.counters["outcome"] for s in lookups] == ["seeded"] * 3
+        assert [s.counters["outcome"] for s in lookups] == ["none"] * 3
         solves = [s for s in tracer.spans if s.name == "solve"]
         assert [s.counters["engine"] for s in solves] == ["highs"] * 2 + ["bnb"]
         assert solves[0].counters["cols"] < solves[1].counters["cols"]
         assert solves[1].counters["cols"] == solves[2].counters["cols"]
-        # Without a hint the same budgets end at the baseline allocator.
-        cold = CompileOptions()
-        cold.alloc.model.a_bank_bias = 1.02
-        cold.alloc.solve.time_limit = 0.0
-        cold.alloc.fallback_time_limit = 0.0
-        assert compile_nova(SOURCE, options=cold).alloc.fallback == "baseline"
+        local = compile_nova(SOURCE, options=starved(CompileOptions()))
+        assert local.alloc.fallback == "baseline"
+        assert comp.physical.pretty() == local.physical.pretty()
 
     def test_starved_recompile_of_an_unchanged_model_is_reused(self, tmp_path):
         # The same zero budgets on the unchanged model: its proven
@@ -360,12 +305,11 @@ class TestEndToEnd:
         assert comp.physical.pretty() == first.physical.pretty()
 
     def test_comment_only_edit_is_reused(self, tmp_path):
-        # A comment changes the source, and with it the daemon's hint
-        # key, but not the model: its proven optimum answers by content.
+        # A comment changes the source but not the model: its proven
+        # optimum answers by content.
         compile_nova(SOURCE, options=hinted_compile(tmp_path))
         edited_source = SOURCE + "// a comment\n"
         edited = hinted_compile(tmp_path)
-        edited.alloc.solve.hint_key = "01" * 32
         tracer = Tracer()
         comp = compile_nova(edited_source, options=edited, tracer=tracer)
         assert outcome(tracer) == "reused"

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import cli, serve
+from repro.apps import build_nat_app
 from repro.cache import CompileCache, cached_compile
 from repro.client import ServeClient, ServeError, parse_endpoint, try_connect
 from repro.compiler import CompileOptions, compile_nova
 from repro.proto import ProtocolError, options_from_wire, options_to_wire
-from repro.serve import CompileServer, Metrics, ServeConfig, hint_key_for
+from repro.serve import CompileServer, Metrics, ServeConfig
 from repro.trace import nearest_rank
 
 GOOD = """
@@ -90,8 +91,9 @@ class TestProtocol:
         assert options_to_wire(CompileOptions()) == {}
 
     def test_unknown_and_server_only_keys_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown option"):
-            options_from_wire({"no_such_knob": 1})
+        for unknown in ({"no_such_knob": 1}, {"alloc": {"spill_base": 0}}):
+            with pytest.raises(ProtocolError, match="unknown option"):
+                options_from_wire(unknown)
         with pytest.raises(ProtocolError, match="server-side only"):
             options_from_wire({"alloc": {"solve": {"hint_dir": "/x"}}})
 
@@ -157,23 +159,9 @@ class TestCompileTiers:
         with ServeClient.connect(server.socket) as client:
             client.compile_source(GOOD)
         hints = list((tmp_path / "cache" / "hints").rglob("*.json"))
-        assert hints, "the miss's solve should have recorded a hint"
-
-    def test_hot_hit_never_computes_the_hint_key(self, server, monkeypatch):
-        # The hint key only seeds a solve; a hot hit must not pay for it.
-        calls = []
-
-        def counted(source, options):
-            calls.append(source)
-            return hint_key_for(source, options)
-
-        monkeypatch.setattr(serve, "hint_key_for", counted)
-        with ServeClient.connect(server.socket) as client:
-            assert client.compile_source(GOOD)["cache"] == "miss"
-            assert len(calls) == 1
-            for _ in range(3):
-                assert client.compile_source(GOOD)["cache"] == "hot"
-        assert len(calls) == 1
+        optima = list((tmp_path / "cache" / "hints" / "optima").rglob("*.json"))
+        assert optima, "the miss's cold solve should have recorded its optimum"
+        assert sorted(hints) == sorted(optima)  # no other kind of entry
 
     def test_hot_hit_never_parses_the_options(self, server, monkeypatch):
         # A hot hit answers a request it has already served; parsing the
@@ -214,25 +202,41 @@ class TestCompileTiers:
         assert again["cache"] == "hot"
         assert again["payload"] == second["payload"]
 
-    def test_knob_variant_miss_is_warm_started_highs(self, server):
-        variant = CompileOptions()
-        variant.alloc.solve.gap = 1e-3
+    def test_knob_variant_miss_returns_the_in_process_payload(self, server):
+        # An allocator-model or gap edit changes the ILP, so the miss
+        # after a default miss finds no proven optimum and solves cold:
+        # the daemon returns the code an in-process compile returns.
+        programs = {
+            name: (ROOT / "examples" / name).read_text()
+            for name in ("classify.nova", "ring_sum.nova", "ttl_decrement.nova")
+        }
+        programs["nat.nova"] = build_nat_app().source
+        bias = CompileOptions()
+        bias.alloc.model.a_bank_bias = 1.02
+        gap = CompileOptions()
+        gap.alloc.solve.gap = 1e-3
         with ServeClient.connect(server.socket) as client:
-            client.compile_source(GOOD)
-            body = client.compile_source(GOOD, options=variant, trace=True)
-        assert body["cache"] == "miss"
-        spans = {sp["name"]: sp for sp in body["spans"]}
-        lookup = spans["portfolio.warm_start"]
-        assert lookup["parent"] == "solve"
-        assert lookup["counters"]["outcome"] == "seeded"
-        assert spans["solve"]["counters"]["engine"] == "highs"
-        local = compile_nova(GOOD, options=variant)
-        assert body["summary"]["alloc"]["moves"] == local.alloc.moves
+            for filename, source in programs.items():
+                first = client.compile_source(source, filename)
+                assert first["cache"] == "miss"
+                for variant in (bias, gap):
+                    body = client.compile_source(
+                        source, filename, options=variant, trace=True
+                    )
+                    assert body["cache"] == "miss"
+                    spans = {sp["name"]: sp for sp in body["spans"]}
+                    lookup = spans["portfolio.warm_start"]
+                    assert lookup["parent"] == "solve"
+                    assert lookup["counters"]["outcome"] == "none"
+                    assert spans["solve"]["counters"]["engine"] == "highs"
+                    local = compile_nova(source, filename, options=variant)
+                    assert body["payload"] == local.physical.pretty(), (
+                        filename, options_to_wire(variant)
+                    )
 
     def test_time_limit_edit_returns_the_in_process_payload(self, server):
         # A solver budget is not part of the ILP, so the edit's miss
-        # reuses the first miss's proven optimum instead of a seeded
-        # solve that may land on another optimal tie.
+        # reuses the first miss's proven optimum instead of solving.
         source = (ROOT / "examples" / "classify.nova").read_text()
         edited = CompileOptions()
         edited.alloc.solve.time_limit = 300.0
@@ -249,7 +253,7 @@ class TestCompileTiers:
         assert spans["portfolio.warm_start"]["counters"]["outcome"] == "reused"
 
     def test_daemon_shares_the_in_process_disk_cache(self, server):
-        # The daemon adds only fingerprint-excluded hint fields to the
+        # The daemon adds only the fingerprint-excluded hint_dir to the
         # options, so an artifact cached in-process is a daemon hit.
         cache = CompileCache(server.cache_dir)
         _, state = cached_compile(GOOD2, "<remote>", CompileOptions(), cache)
