@@ -21,6 +21,15 @@ and instantiates the 0-1 variables and constraint families of Sections
   and once-only counting of group moves (``cloneMove``);
 - the weighted-move objective with the A-over-B bias.
 
+Before it adds the coloring families, :func:`build_model` looks for a
+*bank-independent* transfer coloring: one register per (temp, transfer
+bank) that satisfies every coloring row with each bank-side variable at
+its worst case, 1.  When one exists the model leaves ``Color``,
+``BothIn``, ``colorAvail`` and ``needsSpill`` out and
+:func:`extract_solution` returns that coloring; the optimum is the same,
+because every row that couples a color to a bank-side variable only
+tightens as that variable rises, and colors cost nothing.
+
 Model-size reductions of Section 8 (candidate banks) are applied through
 :mod:`repro.alloc.pruning`; the flags on :class:`ModelOptions` expose the
 paper's engineering choices for the ablation benchmarks.
@@ -28,13 +37,14 @@ paper's engineering choices for the ablation benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocError
 from repro.ixp import isa
 from repro.ixp.banks import Bank, READ_BANK, WRITE_BANK, XFER_SIZE
 from repro.ixp.flowgraph import FlowGraph, PointMap
-from repro.ilp.model import Model
+from repro.ilp.model import Family, LinExpr, Model
+from repro.ilp.solve import SolveOptions, solve_model
 from repro.trace import ensure
 from repro.alloc import frequency, liveness, pruning
 
@@ -239,6 +249,9 @@ class AllocModel:
 
     #: constant-temp name → value (Section 12 rematerialization).
     const_temps: dict[str, int] = field(default_factory=dict)
+    #: the bank-independent transfer coloring, (temp, bank) → register,
+    #: when the model leaves coloring out; None when ``color`` holds it.
+    fixed_colors: dict[tuple[str, Bank], int] | None = None
 
     def allowed(self, temp: str) -> frozenset[Bank]:
         if temp in self.const_temps:
@@ -308,9 +321,13 @@ def build_model(
         _build_location_vars(am)
         _build_operand_constraints(am)
         _build_k_constraints(am)
-        _build_color_constraints(am)
-        _build_clone_constraints(am)
-        _build_spare_register_constraints(am)
+        am.fixed_colors = _fixed_coloring(am, tracer)
+        color_rows = am.fixed_colors is None
+        if color_rows:
+            _build_color_constraints(am)
+        _build_clone_constraints(am, color=color_rows)
+        if color_rows:
+            _build_spare_register_constraints(am)
         _build_objective(am)
         if sp:
             stats = am.model.stats()
@@ -471,12 +488,12 @@ def _build_operand_constraints(am: AllocModel) -> None:
 # -- K constraints (A/B occupancy) ------------------------------------------------
 
 
-def _group_members_at(am: AllocModel, p: int) -> dict[str, list[str]]:
-    members: dict[str, list[str]] = {}
-    for q, v in am.live.exists:
-        if q == p and v in am.clone_rep:
-            members.setdefault(am.clone_rep[v], []).append(v)
-    return members
+def _exists_by_point(am: AllocModel) -> dict[int, list[str]]:
+    """Point → the temps that exist there, both in ascending order."""
+    out: dict[int, list[str]] = {}
+    for p, v in sorted(am.live.exists):
+        out.setdefault(p, []).append(v)
+    return out
 
 
 def _build_k_constraints(am: AllocModel) -> None:
@@ -486,14 +503,10 @@ def _build_k_constraints(am: AllocModel) -> None:
     clone_after = m.family("cloneAfter")
     capacities = {Bank.A: 15, Bank.B: 16}
 
-    exists_by_point: dict[int, list[str]] = {}
-    for p, v in am.live.exists:
-        exists_by_point.setdefault(p, []).append(v)
-
-    for p, temps in sorted(exists_by_point.items()):
+    for p, temps in _exists_by_point(am).items():
         groups: dict[str, list[str]] = {}
         singles: list[str] = []
-        for v in sorted(temps):
+        for v in temps:
             rep = am.clone_rep.get(v)
             if rep is None:
                 singles.append(v)
@@ -710,11 +723,15 @@ def _build_interference_constraints(am: AllocModel, colorable) -> None:
 # -- clones ------------------------------------------------------------------------
 
 
-def _build_clone_constraints(am: AllocModel) -> None:
+def _build_clone_constraints(
+    am: AllocModel, location: bool = True, color: bool = True
+) -> None:
+    """Clone rows, clone by clone: ``location`` agreement at the clone
+    point, then ``color`` agreement in the transfer banks."""
     m = am.model
     for p1, p2, d, s in am.sets.clones:
         banks = sorted(am.allowed(d) | am.allowed(s), key=lambda b: b.value)
-        for b in banks:
+        for b in banks if location else ():
             b_var = am.before.get((p2, d, b))
             a_var = am.after.get((p1, s, b))
             if b_var is None and a_var is None:
@@ -726,7 +743,7 @@ def _build_clone_constraints(am: AllocModel) -> None:
                 expr[a_var] = expr.get(a_var, 0.0) - 1.0
             m.add(expr, "==", 0, "Clone.location")
         # Color agreement where the clone starts in a transfer bank.
-        for b in XFER:
+        for b in XFER if color else ():
             b_var = am.before.get((p2, d, b))
             if b_var is None:
                 continue
@@ -747,30 +764,31 @@ def _build_clone_constraints(am: AllocModel) -> None:
 
 
 def _spill_moves_needing_spare(
-    am: AllocModel, p: int, v: str
+    am: AllocModel, p: int, temps: list[str]
 ) -> dict[Bank, list[int]]:
-    """Moves at point p of temp v that transiently need a register in
-    S (store path) or L (load path)."""
+    """Moves at point p of ``temps``, in order, that transiently need a
+    register in S (store path) or L (load path)."""
     out: dict[Bank, list[int]] = {Bank.S: [], Bank.L: []}
     if p in am.sets.no_move_points:
         return out
-    banks = sorted(am.allowed(v), key=lambda b: b.value)
-    for b1 in banks:
-        for b2 in banks:
-            if b1 == b2:
-                continue
-            key = (p, v, b1, b2)
-            var = am.move.get(key)
-            if var is None:
-                continue
-            # Store path passes through S when the source can feed the
-            # ALU and the value must reach memory (M) or come back (L).
-            if b1 in (Bank.A, Bank.B, Bank.L, Bank.LD) and b2 in (Bank.M, Bank.L):
-                out[Bank.S].append(var)
-            # Load path passes through L when pulling out of M to a
-            # non-L destination.
-            if b1 is Bank.M and b2 is not Bank.L:
-                out[Bank.L].append(var)
+    for v in temps:
+        banks = sorted(am.allowed(v), key=lambda b: b.value)
+        for b1 in banks:
+            for b2 in banks:
+                if b1 == b2:
+                    continue
+                key = (p, v, b1, b2)
+                var = am.move.get(key)
+                if var is None:
+                    continue
+                # Store path passes through S when the source can feed the
+                # ALU and the value must reach memory (M) or come back (L).
+                if b1 in (Bank.A, Bank.B, Bank.L, Bank.LD) and b2 in (Bank.M, Bank.L):
+                    out[Bank.S].append(var)
+                # Load path passes through L when pulling out of M to a
+                # non-L destination.
+                if b1 is Bank.M and b2 is not Bank.L:
+                    out[Bank.L].append(var)
     return out
 
 
@@ -780,20 +798,11 @@ def _build_spare_register_constraints(am: AllocModel) -> None:
     occupied = m.family("colorAvail")
     needs_spill = m.family("needsSpill")
 
-    exists_by_point: dict[int, list[str]] = {}
-    for p, v in am.live.exists:
-        exists_by_point.setdefault(p, []).append(v)
-
-    for p, temps in sorted(exists_by_point.items()):
+    for p, temps in _exists_by_point(am).items():
+        movers = _spill_moves_needing_spare(am, p, temps)
         for bank in (Bank.L, Bank.S):
-            occupants = [
-                v for v in sorted(temps) if bank in am.colorable_banks(v)
-            ]
-            spare_movers: list[int] = []
-            for v in sorted(temps):
-                spare_movers.extend(
-                    _spill_moves_needing_spare(am, p, v)[bank]
-                )
+            occupants = [v for v in temps if bank in am.colorable_banks(v)]
+            spare_movers = movers[bank]
             if not spare_movers:
                 continue  # no spare needed at p: skip the whole family
             ns = needs_spill[(p, bank.value)]
@@ -826,6 +835,113 @@ def _build_spare_register_constraints(am: AllocModel) -> None:
             expr = {var: 1.0 for var in row}
             expr[ns] = 1.0
             m.add(expr, "<=", XFER_SIZE, "K.xfer")
+
+
+# -- the bank-independent coloring pre-solve ---------------------------------------------
+
+#: Families that say where a temp is or moves, not which register it
+#: holds; the coloring pre-solve folds them in as the constant 1.
+BANK_SIDE = frozenset(("Before", "After", "Move", "BothIn", "needsSpill"))
+
+
+class _ColoringModel(Model):
+    """The coloring rows alone, with every bank-side variable at 1.
+
+    Variables of :data:`BANK_SIDE` families get negative ids, and
+    :meth:`add` moves their terms to the right-hand side.  A row left
+    with no variable constrains bank-side variables only (it always
+    holds at 1) and is dropped.
+    """
+
+    def __init__(self):
+        super().__init__("ixp-colors")
+        self._ones = 0
+
+    def _new_var(self, family: str, key: tuple) -> int:
+        if family not in BANK_SIDE:
+            return super()._new_var(family, key)
+        self._ones -= 1
+        return self._ones
+
+    def add(self, expr, sense, rhs, note=""):
+        coeffs = expr.coeffs if isinstance(expr, LinExpr) else expr
+        kept = {var: c for var, c in coeffs.items() if var >= 0}
+        if kept:
+            ones = sum(c for var, c in coeffs.items() if var < 0)
+            super().add(kept, sense, rhs - ones, note)
+
+
+class _Folded(Family):
+    """A bank-side family of the full model, in a :class:`_ColoringModel`:
+    the same keys, each a constant-1 variable."""
+
+    def __init__(self, model: _ColoringModel, full: Family):
+        super().__init__(model, full.name)
+        self.full = full
+
+    def get(self, key: tuple) -> int | None:
+        return self[key] if key in self.full else None
+
+
+def _pigeonhole(am: AllocModel) -> bool:
+    """True when no bank-independent coloring can exist: at some point,
+    more pairwise-interfering temps (those live there, each clone group
+    once) could be in one transfer bank than it has registers — 8, or 7
+    where a spill path may need a spare L/S register."""
+    xfer_of = {v: set(am.colorable_banks(v)) for v in am.graph.temps()}
+    exists = _exists_by_point(am)
+    for p, live in sorted(am.live.live_at.items()):
+        for b in XFER:
+            groups = {am.clone_rep.get(v, v) for v in live if b in xfer_of[v]}
+            if len(groups) < XFER_SIZE:
+                continue
+            limit = XFER_SIZE
+            if b in (Bank.L, Bank.S) and _spill_moves_needing_spare(
+                am, p, exists[p]
+            )[b]:
+                limit -= 1
+            if len(groups) > limit:
+                return True
+    return False
+
+
+def _fixed_coloring(am: AllocModel, tracer) -> dict[tuple[str, Bank], int] | None:
+    """The coloring pre-solve: a bank-independent transfer coloring, or None.
+
+    It builds the coloring rows with the same builders as the full model
+    into a :class:`_ColoringModel` and solves that feasibility problem
+    (no objective, no time limit, no store), so the path a program takes
+    depends on the program alone.
+    """
+    with tracer.span("colors") as sp:
+        colors = cm = None
+        if not _pigeonhole(am):
+            cm = _ColoringModel()
+            view = replace(
+                am,
+                model=cm,
+                before=_Folded(cm, am.before),
+                after=_Folded(cm, am.after),
+                move=_Folded(cm, am.move),
+            )
+            _build_color_constraints(view)
+            _build_clone_constraints(view, location=False)
+            _build_spare_register_constraints(view)
+            solution = solve_model(cm, SolveOptions(time_limit=None))
+            if solution.status == "optimal":
+                colors = {
+                    (v, b): r
+                    for (v, b, r), var in view.color.items()
+                    if solution.is_one(var)
+                }
+        if sp:
+            sp.add(
+                fixed=int(colors is not None),
+                filtered=int(cm is None),
+                variables=cm.num_vars if cm else 0,
+                constraints=len(cm.constraints) if cm else 0,
+            )
+    return colors
 
 
 # -- objective -------------------------------------------------------------------------
@@ -901,10 +1017,14 @@ def extract_solution(am: AllocModel, solution) -> AllocSolution:
             moves.append((p, v, b1, b2))
             if b2 is Bank.M:
                 spills += 1
-    colors = {}
-    for (v, b, r), var in am.color.items():
-        if solution.is_one(var):
-            colors[(v, b)] = r
+    if am.fixed_colors is not None:
+        colors = dict(am.fixed_colors)
+    else:
+        colors = {
+            (v, b): r
+            for (v, b, r), var in am.color.items()
+            if solution.is_one(var)
+        }
     return AllocSolution(
         banks_before, banks_after, sorted(moves), colors, spills, len(moves)
     )

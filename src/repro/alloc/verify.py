@@ -5,9 +5,9 @@ Three layers of checking:
 1. **Solution replay** — :func:`check_solution` re-derives the paper's
    constraint families (one place only, copy propagation, operand/result
    banks, K capacities, aggregate adjacency, SameReg, clone location
-   agreement) directly from the flowgraph and asserts the extracted ILP
-   solution satisfies each one — independently of the model builder that
-   produced the constraints.
+   agreement, transfer-register interference) directly from the
+   flowgraph and asserts the extracted ILP solution satisfies each one —
+   independently of the model builder that produced the constraints.
 2. **Static datapaths** — the simulator's physical mode traps every
    Figure 1 violation (ALU bank legality, aggregate adjacency,
    transfer-bank isolation, hash SameReg, register bounds).
@@ -30,6 +30,8 @@ from repro.ixp.banks import Bank
 from repro.ixp.flowgraph import FlowGraph
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
+
+XFER_BANKS = (Bank.L, Bank.S, Bank.LD, Bank.SD)
 
 
 @dataclass
@@ -227,9 +229,29 @@ def check_solution(am, solution) -> SolutionReport:
         bs = after.get((p1, s))
         if bd != bs:
             report.add(f"clone {d}={s}: banks {bd}/{bs} at clone point")
-        elif bd in (Bank.L, Bank.S, Bank.LD, Bank.SD):
+        elif bd in XFER_BANKS:
             if solution.colors.get((d, bd)) != solution.colors.get((s, bd)):
                 report.add(f"clone {d}={s}: colors differ in {bd}")
+
+    # Transfer interference: two temps live at one point, of different
+    # clone groups, in one transfer bank before (or after) it hold
+    # different registers.
+    for p, temps in sorted(live.live_at.items()):
+        for table, name in ((before, "before"), (after, "after")):
+            holder: dict[tuple[Bank, int], str] = {}
+            for v in sorted(temps):
+                bank = table.get((p, v))
+                if bank not in XFER_BANKS:
+                    continue
+                color = solution.colors.get((v, bank))
+                if color is None:
+                    continue  # the aggregate rule reports a missing color
+                other = holder.setdefault((bank, color), v)
+                if am.clone_rep.get(other, other) != am.clone_rep.get(v, v):
+                    report.add(
+                        f"interference: {other} and {v} share {bank} "
+                        f"register {color} {name} point {p}"
+                    )
 
     # K capacities per point, counting clone groups once.
     exists_by_point: dict[int, list[str]] = {}
@@ -244,7 +266,7 @@ def check_solution(am, solution) -> SolutionReport:
                     for v in temps
                     if table.get((p, v)) is bank
                 }
-                if bank in (Bank.L, Bank.S, Bank.LD, Bank.SD):
+                if bank in XFER_BANKS:
                     # Occupancy is by register number in transfer banks.
                     registers = {
                         solution.colors.get((v, bank))

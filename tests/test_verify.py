@@ -82,6 +82,38 @@ class TestReplayCatchesCorruption:
         )
         assert not report.ok
 
+    def test_detects_interfering_transfer_registers(self):
+        """Shift the second L aggregate of xfer_pressure, members still
+        adjacent, onto the register of a live temp of the first."""
+        from tests.test_model_encodings import PROGRAMS
+
+        comp = compile_full(PROGRAMS["xfer_pressure"])
+        am, solution = comp.alloc.model, comp.alloc.alloc
+        first, second = (names for _, _, names in am.sets.def_l)
+        colors = dict(solution.colors)
+
+        def clashes(moved):
+            for p, live in am.live.live_at.items():
+                in_l = {
+                    v for v in live if solution.banks_before.get((p, v)) is Bank.L
+                }
+                for v in in_l.intersection(first):
+                    for w in in_l.intersection(second):
+                        if moved[w] == colors[(v, Bank.L)]:
+                            return True
+            return False
+
+        for shift in range(-7, 8):
+            moved = {w: colors[(w, Bank.L)] + shift for w in second}
+            if all(0 <= r < 8 for r in moved.values()) and clashes(moved):
+                break
+        else:
+            pytest.fail("no shift puts two live L temps in one register")
+        colors.update({(w, Bank.L): r for w, r in moved.items()})
+        report = check_solution(am, _tamper(solution, colors=colors))
+        assert report.violations
+        assert all("interference" in v for v in report.violations)
+
     def test_detects_same_bank_operands(self):
         comp = compile_full("fun main (x, y) { x + y }")
         solution = comp.alloc.alloc
