@@ -9,7 +9,9 @@ so that solve usually settles the allocation.  Only when it proves
 spills necessary, ends without an incumbent, fails or crashes does the
 allocator build the full model.  ``AllocOptions.two_phase = False``
 solves the full model directly: the paper's one-shot model, whose sizes
-Figure 7 tabulates.
+Figure 7 tabulates.  A model whose transfer coloring left the ILP is
+solved LP relaxation first (:attr:`SolveOptions.root_relaxation`): its
+integral vertex, when it has one, is the optimum without branch and cut.
 
 Solver robustness is graceful degradation rather than an exception: for
 the full model the chain ``highs`` → ``bnb`` → the heuristic
@@ -89,6 +91,15 @@ class AllocResult:
         }
 
 
+def _solve_options(am: AllocModel, options: AllocOptions) -> SolveOptions:
+    """The solve options for ``am``: the caller's, plus the LP relaxation
+    first when the model's transfer coloring left the ILP, since those
+    models' LP optimum is integral in practice and then ends the solve."""
+    if am.fixed_colors is None:
+        return options.solve
+    return replace(options.solve, root_relaxation=True)
+
+
 def _solve_chain(model, options: AllocOptions, tracer):
     """Solve ``model`` through the engine chain.
 
@@ -157,7 +168,9 @@ def allocate(
     am = prebuilt if prebuilt is not None else build_model(
         graph, options.model, tracer
     )
-    solution, downgraded = _solve_chain(am.model, options, tracer)
+    solution, downgraded = _solve_chain(
+        am.model, replace(options, solve=_solve_options(am, options)), tracer
+    )
     if solution is None:
         return _degrade_to_baseline(graph, options, tracer, downgraded)
     return _finish(graph, am, solution, fallback=downgraded)
@@ -183,7 +196,7 @@ def _allocate_spill_free(
         graph, first_model_options(options), tracer
     )
     try:
-        solution = solve_model(am.model, options.solve, tracer)
+        solution = solve_model(am.model, _solve_options(am, options), tracer)
     except Exception:  # solver crash: the full model's chain handles it
         return None
     if not solution.usable:

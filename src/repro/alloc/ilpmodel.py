@@ -252,17 +252,35 @@ class AllocModel:
     #: the bank-independent transfer coloring, (temp, bank) → register,
     #: when the model leaves coloring out; None when ``color`` holds it.
     fixed_colors: dict[tuple[str, Bank], int] | None = None
+    #: temp → :meth:`allowed` and temp → :meth:`colorable_banks`, each
+    #: computed once per model (the row builders ask per point); a
+    #: ``replace`` view of the model shares them.
+    _allowed: dict[str, frozenset[Bank]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _colorable: dict[str, tuple[Bank, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def allowed(self, temp: str) -> frozenset[Bank]:
-        if temp in self.const_temps:
-            return frozenset((Bank.C, Bank.A, Bank.B))
-        banks = self.candidates.of(temp)
-        if not self.options.allow_spill:
-            banks = banks - {Bank.M}
+        banks = self._allowed.get(temp)
+        if banks is None:
+            if temp in self.const_temps:
+                banks = frozenset((Bank.C, Bank.A, Bank.B))
+            else:
+                banks = self.candidates.of(temp)
+                if not self.options.allow_spill:
+                    banks = banks - {Bank.M}
+            self._allowed[temp] = banks
         return banks
 
-    def colorable_banks(self, temp: str) -> list[Bank]:
-        return [b for b in XFER if b in self.allowed(temp)]
+    def colorable_banks(self, temp: str) -> tuple[Bank, ...]:
+        banks = self._colorable.get(temp)
+        if banks is None:
+            allowed = self.allowed(temp)
+            banks = tuple(b for b in XFER if b in allowed)
+            self._colorable[temp] = banks
+        return banks
 
     def move_legal(self, temp: str, b1: Bank, b2: Bank) -> bool:
         if b1 == b2:

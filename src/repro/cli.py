@@ -359,8 +359,8 @@ def _render(result, args, tracer) -> int:
             if span.depth == 0:
                 print(f"  {span.name:10s} {span.seconds * 1000:8.1f} ms")
         if result.alloc is not None:
-            # The CLI cannot ask for the root-relaxation LP, so its time
-            # would only ever read 0.
+            # The CLI cannot ask for the root-relaxation LP: it runs only
+            # where the allocator picks it, so its time is left out.
             row = result.alloc.figure7_row()
             del row["root_time_s"]
             print(

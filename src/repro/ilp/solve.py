@@ -10,12 +10,16 @@ Two engines:
 
 Both report the two timings Figure 7 tabulates: the *root relaxation*
 (optimal LP solution) and the total time to integer optimality.  The
-``highs`` engine pays for a separate root-relaxation ``linprog`` solve
-only when :attr:`SolveOptions.root_relaxation` is set, since ``milp``
-does not report it and the extra solve is pure measurement overhead
-otherwise.  A tracer never turns it on: tracing a compile must not
-change the work it does, so a traced ``highs`` solve reports a root
-time of 0 unless the option asks for it.
+``highs`` engine solves the root relaxation with ``linprog`` only when
+:attr:`SolveOptions.root_relaxation` is set, since ``milp`` does not
+report it.  When that LP's optimal vertex is integral and satisfies
+every row, it is the ILP's proven optimum (gap 0) and ``milp`` never
+runs; otherwise ``milp`` solves the model as without the option, on
+what is left of the time budget.  The allocator sets the option for
+models whose transfer coloring left the ILP, whose LP optimum is
+integral in practice.  A tracer never turns it on: tracing a compile
+must not change the work it does, so a traced ``highs`` solve that did
+not ask for the LP reports a root time of 0.
 
 Reuse by content: when :attr:`SolveOptions.hint_dir` is set,
 :func:`solve_model` consults a :class:`~repro.ilp.hints.HintStore`.  A
@@ -36,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.ilp.hints import HintStore, reused_optimum, solve_digest
+from repro.ilp.hints import FEAS_TOL, HintStore, reused_optimum, solve_digest
 from repro.ilp.model import Model, Solution
 from repro.trace import ensure
 
@@ -46,6 +50,9 @@ if TYPE_CHECKING:
 #: The solver engines :func:`solve_model` accepts.
 ENGINES = ("highs", "bnb")
 
+#: How far an LP value may sit from 0 or 1 and still count as integral.
+INTEGRAL_TOL = 1e-6
+
 
 @dataclass
 class SolveOptions:
@@ -53,9 +60,9 @@ class SolveOptions:
     time_limit: float | None = 600.0
     gap: float = 1e-4  # CPLEX-style relative MIP gap (paper: 0.01%)
     node_limit: int = 200_000
-    #: measure the LP root relaxation with a dedicated ``linprog`` solve
-    #: (the ``bnb`` engine gets it for free from its first node;
-    #: ``highs`` needs the extra solve, which a tracer does not trigger).
+    #: solve the LP relaxation before branch-and-cut and report its
+    #: time; an integral vertex ends the solve (the ``bnb`` engine's
+    #: first node is that LP already; a tracer never sets this).
     root_relaxation: bool = False
     #: Directory of proven optima (a :class:`HintStore`), for any
     #: engine: an identical model's optimum is returned without a solve.
@@ -72,7 +79,9 @@ def solve_root_relaxation(model: Model) -> tuple[float, float, np.ndarray]:
     return _root_relaxation(c, matrix, lb, ub, model.num_vars)
 
 
-def _root_relaxation(c, matrix, lb, ub, num_vars):
+def _root_relaxation(c, matrix, lb, ub, num_vars, time_limit=None):
+    """The LP relaxation; objective ``inf`` when it fails or runs out
+    of ``time_limit`` seconds."""
     import numpy as np
     from scipy import optimize
 
@@ -87,6 +96,7 @@ def _root_relaxation(c, matrix, lb, ub, num_vars):
         b_eq=b_eq,
         bounds=(0, 1),
         method="highs",
+        options={} if time_limit is None else {"time_limit": time_limit},
     )
     seconds = time.perf_counter() - start
     if not res.success:
@@ -212,23 +222,38 @@ _MILP_STATUS = {2: "infeasible", 3: "unbounded", 4: "failed"}
 
 
 def _solve_highs(model: Model, options: SolveOptions) -> Solution:
-    """HiGHS branch & cut via :func:`scipy.optimize.milp`."""
+    """HiGHS branch & cut via :func:`scipy.optimize.milp`, after the LP
+    relaxation when :attr:`SolveOptions.root_relaxation` asks for it."""
     import numpy as np
     from scipy import optimize
 
     c, matrix, lb, ub = model.standard_form()
-    # milp does not report the root-relaxation time; measure it with a
-    # dedicated LP solve only when the caller asks for the number.
     root_seconds = 0.0
+    time_limit = options.time_limit
     if options.root_relaxation:
-        _, root_seconds, _ = _root_relaxation(c, matrix, lb, ub, model.num_vars)
+        bound, root_seconds, x = _root_relaxation(
+            c, matrix, lb, ub, model.num_vars, time_limit
+        )
+        answer = _integral_vertex(matrix, lb, ub, bound, x)
+        if answer is not None:
+            return Solution(
+                "optimal",
+                float(c @ answer),
+                answer,
+                root_seconds,
+                root_seconds,
+                nodes=1,
+                gap=0.0,
+            )
+        if time_limit is not None:
+            time_limit = max(0.0, time_limit - root_seconds)
     start = time.perf_counter()
     constraints = []
     if len(model.constraints):
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
     milp_options = {"mip_rel_gap": options.gap}
-    if options.time_limit is not None:
-        milp_options["time_limit"] = options.time_limit
+    if time_limit is not None:
+        milp_options["time_limit"] = time_limit
     res = optimize.milp(
         c,
         constraints=constraints,
@@ -275,6 +300,29 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
         nodes,
         math.inf,
     )
+
+
+def _integral_vertex(matrix, lb, ub, bound, x):
+    """The LP optimum ``x`` rounded to 0-1, or None.
+
+    None unless the LP solved (``bound`` finite), every entry is within
+    :data:`INTEGRAL_TOL` of 0 or 1, and the rounded point satisfies
+    every row to the optimum store's :data:`~repro.ilp.hints.FEAS_TOL`.
+    Such a point is optimal for the ILP, whose feasible set the LP's
+    contains.
+    """
+    import numpy as np
+
+    if not math.isfinite(bound):
+        return None
+    rounded = np.round(x)
+    if np.any(np.abs(x - rounded) > INTEGRAL_TOL):
+        return None
+    if matrix.shape[0]:
+        row = matrix @ rounded
+        if np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL):
+            return None
+    return rounded
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +411,7 @@ def _solve_bnb(model: Model, options: SolveOptions) -> Solution:
             continue
         frac = np.abs(x - np.round(x))
         branch_var = int(np.argmax(frac))
-        if frac[branch_var] < 1e-6:
+        if frac[branch_var] < INTEGRAL_TOL:
             # Integral solution.
             best_obj = bound
             best_x = np.round(x)

@@ -18,6 +18,27 @@ SPILLED_INPUTS_SOURCE = (
 )
 
 
+def record_calls(
+    monkeypatch, owner, name: str, calls: list | None = None, fail: bool = False
+) -> list:
+    """Append ``name`` to ``calls`` whenever ``owner.name`` is called.
+
+    The call goes through unless ``fail``, which raises instead.  Pass
+    the same list to record several functions in call order.
+    """
+    calls = [] if calls is None else calls
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        if fail:
+            raise AssertionError(f"{name} ran")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def compile_virtual(source: str) -> Compilation:
     """Compile without running the ILP allocator (fast path for tests)."""
     options = CompileOptions()

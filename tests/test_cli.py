@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.compiler import compile_nova
 
 from tests.helpers import SPILLED_INPUTS_SOURCE, SPILLED_PARAMS, compile_full
 
@@ -122,11 +123,16 @@ def test_trace_json(program, tmp_path, capsys):
         "solve",
     ):
         assert phase in names, f"missing span {phase}"
-    solve = next(r for r in records if r["name"] == "solve")
-    assert solve["counters"]["rows"] > 0
-    assert solve["counters"]["nodes"] >= 0
-    # Tracing does not change the work: no root-relaxation LP solve.
-    assert solve["counters"]["root_relaxation_seconds"] == 0
+    solve = next(r for r in records if r["name"] == "solve")["counters"]
+    assert solve["rows"] > 0
+    assert solve["nodes"] >= 0
+    # Tracing does not change the work: the traced solve takes the path
+    # of an untraced compile.  Here that is the LP relaxation's answer
+    # (the program's coloring left the ILP); test_trace.py checks a
+    # program whose coloring stays in the ILP.
+    untraced = compile_nova(SOURCE).alloc
+    assert untraced.root_seconds == untraced.integer_seconds > 0
+    assert solve["root_relaxation_seconds"] == solve["integer_seconds"] > 0
     assert all(r["seconds"] >= 0 for r in records)
 
 

@@ -1,13 +1,19 @@
-"""The coloring pre-solve of :func:`repro.alloc.ilpmodel.build_model`.
+"""The coloring pre-solve of :func:`repro.alloc.ilpmodel.build_model`,
+and the LP relaxation's answer that it enables.
 
 When one transfer coloring fits every bank assignment, the allocation
-model leaves coloring out and uses that coloring.  This must not change
-the optimum: each program compiles twice, with the pre-solve and with
-it reporting no coloring, and both must reach the same objective and
-pass the solution replay and the equivalence check.
+model leaves coloring out and uses that coloring, and the allocator
+solves the LP relaxation first: an integral vertex is the optimum and
+``milp`` never runs.  Neither may change the optimum: each program
+compiles three times (as shipped, with the LP answer refused, and with
+the pre-solve reporting no coloring), and all three must reach the same
+objective and pass the solution replay and the equivalence check.
 """
 
+import pathlib
+
 import pytest
+import scipy.optimize
 
 from repro.alloc import ilpmodel
 from repro.alloc.allocator import AllocOptions, first_model_options
@@ -16,9 +22,10 @@ from repro.alloc.verify import check_equivalence, check_solution
 from repro.apps import build_nat_app
 from repro.compiler import CompileOptions, compile_nova
 from repro.fuzz.gen import generate
+from repro.ilp import solve as solve_mod
 from repro.trace import Tracer
 
-from tests.helpers import compile_virtual
+from tests.helpers import compile_virtual, record_calls
 from tests.programs import case
 from tests.test_model_encodings import PROGRAMS
 
@@ -66,14 +73,18 @@ def _compile(source):
 def test_presolve_keeps_the_optimum(name, monkeypatch):
     source, inputs, image = _program(name)
     fixed, objective = _compile(source)
+    with monkeypatch.context() as patch:
+        patch.setattr(solve_mod, "_integral_vertex", lambda *args: None)
+        branched, branched_objective = _compile(source)
     monkeypatch.setattr(ilpmodel, "_fixed_coloring", lambda am, tracer: None)
     full, full_objective = _compile(source)
     assert (fixed.alloc.model.fixed_colors is None) == (name in KEEPS_COLORING)
     assert full.alloc.model.fixed_colors is None
-    assert abs(objective - full_objective) <= GAP * max(
-        1.0, abs(objective), abs(full_objective)
-    )
-    for comp in (fixed, full):
+    for other in (branched_objective, full_objective):
+        assert abs(objective - other) <= GAP * max(
+            1.0, abs(objective), abs(other)
+        )
+    for comp in (fixed, branched, full):
         report = check_solution(comp.alloc.model, comp.alloc.alloc)
         assert report.ok, report.violations
         equivalence = check_equivalence(
@@ -85,6 +96,32 @@ def test_presolve_keeps_the_optimum(name, monkeypatch):
             spill_region=(960, 64),
         )
         assert equivalence.ok, equivalence.detail
+
+
+def test_lp_answers_a_fixed_coloring_model(monkeypatch):
+    """The allocation model takes the LP relaxation's integral vertex;
+    this program's coloring pre-solve has no variable, so nothing in
+    the compile may reach milp."""
+    record_calls(monkeypatch, scipy.optimize, "milp", fail=True)
+    path = pathlib.Path(__file__).parent.parent / "examples" / "ttl_decrement.nova"
+    tracer = Tracer()
+    comp = compile_nova(path.read_text(), options=CompileOptions(), tracer=tracer)
+    assert comp.alloc.model.fixed_colors is not None
+    assert comp.alloc.status == "optimal" and comp.alloc.fallback is None
+    (solve,) = [s.counters for s in tracer.spans if s.name == "solve"]
+    assert (solve["nodes"], solve["gap"]) == (1, 0.0)
+    assert solve["root_relaxation_seconds"] == solve["integer_seconds"] > 0
+
+
+def test_colored_model_reaches_milp_once(monkeypatch):
+    """A model that keeps coloring in the ILP is solved by milp alone."""
+    calls = record_calls(monkeypatch, scipy.optimize, "milp")
+    tracer = Tracer()
+    comp = compile_nova(PROGRAMS["l_overflow"], tracer=tracer)
+    assert comp.alloc.model.fixed_colors is None
+    assert len(calls) == 1
+    (solve,) = [s.counters for s in tracer.spans if s.name == "solve"]
+    assert solve["root_relaxation_seconds"] == 0
 
 
 def _colors_span(tracer):

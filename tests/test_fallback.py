@@ -60,11 +60,13 @@ def test_fallback_disabled_raises():
 def test_highs_crash_falls_back_to_bnb(monkeypatch):
     calls = []
 
-    def exploding_milp(*args, **kwargs):
+    def exploding_highs(*args, **kwargs):
         calls.append(1)
         raise RuntimeError("synthetic HiGHS failure")
 
-    monkeypatch.setattr("scipy.optimize.milp", exploding_milp)
+    # The whole highs engine, LP relaxation included: this program's LP
+    # would answer without milp, and bnb's own LPs must still run.
+    monkeypatch.setattr("repro.ilp.solve._solve_highs", exploding_highs)
     tracer = Tracer()
     options = CompileOptions()
     options.alloc.solve = SolveOptions(engine="highs")

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp.model import LinExpr, Model
 from repro.ilp.solve import SolveOptions, solve_model, solve_root_relaxation
+
+from tests.helpers import record_calls
 
 
 def knapsack_model(values, weights, capacity):
@@ -145,6 +148,70 @@ class TestSolvers:
         b = solve_model(m2, SolveOptions(engine="bnb"))
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
+
+
+def exclusive_triple_model():
+    """Three pairwise-exclusive 0-1 variables, maximised: the LP optimum
+    is all halves (1.5), the ILP's is one variable (1)."""
+    m = Model("triple")
+    x = m.family("x")
+    for i, j in ((0, 1), (1, 2), (0, 2)):
+        m.add({x[(i,)]: 1.0, x[(j,)]: 1.0}, "<=", 1)
+    m.minimize({x[(i,)]: -1.0 for i in range(3)})
+    return m
+
+
+class TestRootRelaxationAnswer:
+    """``root_relaxation`` solves the LP first; an integral vertex that
+    satisfies every row is the answer, anything else goes to milp."""
+
+    def test_integral_vertex_ends_the_solve(self, monkeypatch):
+        record_calls(monkeypatch, scipy.optimize, "milp", fail=True)
+        m = Model()
+        x = m.family("x")
+        m.add_sum_eq([x[(0,)], x[(1,)]], 1)
+        m.minimize({x[(0,)]: 1.0, x[(1,)]: 3.0})
+        sol = solve_model(m, SolveOptions(root_relaxation=True))
+        assert sol.status == "optimal"
+        assert sol.objective == 1.0
+        assert list(sol.values) == [1.0, 0.0]
+        assert (sol.nodes, sol.gap) == (1, 0.0)
+        assert sol.root_relaxation_seconds == sol.integer_seconds > 0
+
+    def test_fractional_vertex_goes_to_milp(self, monkeypatch):
+        relaxed, _, x = solve_root_relaxation(exclusive_triple_model())
+        assert relaxed == pytest.approx(-1.5)
+        assert x == pytest.approx([0.5] * 3)
+        limits = []
+        for name in ("linprog", "milp"):
+
+            def call(*args, _name=name, _real=getattr(scipy.optimize, name), **kw):
+                limits.append((_name, kw["options"]["time_limit"]))
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(scipy.optimize, name, call)
+        sol = solve_model(
+            exclusive_triple_model(),
+            SolveOptions(root_relaxation=True, time_limit=100.0),
+        )
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-1.0)
+        assert sol.values.sum() == 1.0
+        assert sol.root_relaxation_seconds > 0
+        # time_limit bounds the whole solve: milp gets what the LP left.
+        (lp, lp_limit), (ilp, ilp_limit) = limits
+        assert (lp, lp_limit, ilp) == ("linprog", 100.0, "milp")
+        assert ilp_limit == pytest.approx(100.0 - sol.root_relaxation_seconds)
+        assert ilp_limit < 100.0
+
+    def test_infeasible_lp_goes_to_milp(self, monkeypatch):
+        calls = record_calls(monkeypatch, scipy.optimize, "milp")
+        m = Model()
+        x = m.family("x")[(0,)]
+        m.add({x: 1.0}, ">=", 2)
+        sol = solve_model(m, SolveOptions(root_relaxation=True))
+        assert len(calls) == 1
+        assert sol.status == "infeasible"
 
 
 class TestSolutionHelpers:

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -11,7 +12,11 @@ from repro.compiler import CompileOptions, compile_nova
 from repro.ixp.machine import Machine
 from repro.trace import NULL, NullTracer, Tracer, ensure, nearest_rank_index
 
-from tests.helpers import SPILLED_INPUTS_SOURCE
+from tests.helpers import SPILLED_INPUTS_SOURCE, record_calls
+from tests.test_model_encodings import PROGRAMS
+
+#: Nine values live in L at once: its transfer coloring stays in the ILP.
+L_OVERFLOW = PROGRAMS["l_overflow"]
 
 SOURCE = """
 layout h = { a : 8, b : 24 };
@@ -128,14 +133,34 @@ class TestPipelineSpans:
         assert model.counters["candidate_slots_pruned"] > 0
         assert solve.counters["nodes"] >= 1
         assert solve.counters["status"] == "optimal"
-        # Tracing does not change the work: no root-relaxation LP solve.
-        assert solve.counters["root_relaxation_seconds"] == 0
+
+    @pytest.mark.parametrize("source", [SOURCE, L_OVERFLOW])
+    def test_tracing_does_not_change_the_solves(self, source, monkeypatch):
+        # SOURCE's coloring leaves the ILP, so its LP relaxation answers;
+        # L_OVERFLOW's stays in, so milp solves it.  A tracer adds no LP
+        # to either.
+        import scipy.optimize
+
+        from repro.ilp import solve as solve_mod
+
+        calls = record_calls(monkeypatch, solve_mod, "_root_relaxation")
+        record_calls(monkeypatch, scipy.optimize, "milp", calls)
+        untraced = compile_nova(source)
+        untraced_calls, calls[:] = list(calls), []
+        traced = compile_nova(source, tracer=Tracer())
+        assert calls == untraced_calls
+        assert traced.physical.pretty() == untraced.physical.pretty()
 
     def test_root_relaxation_measured_only_on_request(self):
+        # A program whose coloring stays in the ILP: the LP relaxation
+        # runs only when the option asks for it.
+        t = Tracer()
+        compile_nova(L_OVERFLOW, tracer=t)
+        assert t.get("solve").counters["root_relaxation_seconds"] == 0
         t = Tracer()
         options = CompileOptions()
         options.alloc.solve.root_relaxation = True
-        compile_nova(SOURCE, options=options, tracer=t)
+        compile_nova(L_OVERFLOW, options=options, tracer=t)
         assert t.get("solve").counters["root_relaxation_seconds"] > 0
 
     def test_ir_size_counters(self):
