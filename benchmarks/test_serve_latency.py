@@ -18,12 +18,13 @@ Two claims from the daemon's design get measured and recorded to
 2. **A reused optimum is faster than a cold solve.**  On the paper's
    Figure 5-7 applications (AES / Kasumi / NAT) the allocation ILP a
    default miss solves (the spill-free model) is solved once through
-   ``solve_model`` with a hint store, as a daemon miss does: that cold
-   solve (``cold_s``) records its proven optimum.  The identical model
-   is then answered from the store (``reuse_s``).  ``bnb`` alone on the
-   same model is time-capped — on paper-scale models it typically
-   cannot finish.  Wall-clock, one round each, since a single solve is
-   seconds.
+   ``solve_model`` with the options the allocator gives that model
+   (the LP relaxation first when its coloring left the ILP) and a hint
+   store, as a daemon miss does: that cold solve (``cold_s``) records
+   its proven optimum.  The identical model is then answered from the
+   store (``reuse_s``).  ``bnb`` alone on the same model is time-capped
+   — on paper-scale models it typically cannot finish.  Wall-clock, one
+   round each, since a single solve is seconds.
 
 ``benchmarks/serve_smoke.py`` exercises the daemon lifecycle in CI;
 this file is the locally-run measurement (like the Figure 7 table).
@@ -33,11 +34,13 @@ import json
 import pathlib
 import sys
 import time
+from dataclasses import replace
 
-from repro.alloc.allocator import AllocOptions, first_model_options
+from repro.alloc.allocator import AllocOptions, _solve_options, first_model_options
 from repro.alloc.ilpmodel import build_model
 from repro.compiler import CompileOptions, compile_from_front, parse_front
-from repro.ilp.solve import SolveOptions, solve_model
+from repro.ilp.options import SolveOptions
+from repro.ilp.solve import solve_model, standard_form
 from repro.trace import nearest_rank
 
 from benchmarks.conftest import APP_BUILDERS, print_table
@@ -163,8 +166,10 @@ def _measure_warm_start(tmp_path):
     results = {}
     for name in APP_BUILDERS:
         am = _build_alloc_model(name)
-        am.model.standard_form()  # pre-warm the memo for every solve
-        hinted = SolveOptions(hint_dir=str(tmp_path / "hints"))
+        standard_form(am.model)  # pre-warm the memo for every solve
+        hinted = replace(
+            _solve_options(am, AllocOptions()), hint_dir=str(tmp_path / "hints")
+        )
         cold_solution, cold_s = _timed_solve(am.model, hinted)
         reuse_solution, reuse_s = _timed_solve(am.model, hinted)
         # bnb alone rarely finishes on paper-scale models; cap it so the

@@ -21,12 +21,14 @@ Public API
 - :mod:`repro.apps` — the three benchmark applications (AES, Kasumi, NAT).
 
 :mod:`repro.compiler` is imported lazily, on first use of a name above.
-numpy and scipy are loaded later still: only :mod:`repro.ilp` uses
-them, inside the functions that build a standard form or solve, so
-importing the compiler, the cache, the client, the daemon or the
-simulator, or loading and running an allocated artifact, pulls in
-neither.  The first ILP built in a process does, and so does a daemon
-or a batch before it forks workers that may solve.
+numpy and scipy are loaded later still: only :mod:`repro.ilp.solve` and
+:mod:`repro.ilp.hints` import them, and the rest of the package reaches
+those two modules only through
+:func:`repro.ilp.options.load_solver_stack`.  So importing the
+compiler, the cache, the client, the daemon or the simulator, building
+an ILP, or loading and running an allocated artifact, pulls in neither.
+The first solve in a process does, and so does a daemon or a batch
+before it forks workers that may solve.
 """
 
 from typing import Any

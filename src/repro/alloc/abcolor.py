@@ -27,7 +27,7 @@ addressing, which is why the ILP's K constraint for A is 15 (Section 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AllocError
 from repro.ixp import isa
@@ -48,13 +48,6 @@ class AbAssignment:
 
     def reg(self, temp: str, bank: Bank) -> int:
         return self.colors[(temp, bank)]
-
-
-@dataclass
-class _Node:
-    temps: set[str]
-    bank: Bank
-    points: set[int] = field(default_factory=set)
 
 
 def assign_ab_registers(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocError
 from repro.ixp.flowgraph import FlowGraph
-from repro.ilp.solve import SolveOptions, check_engine, solve_model
+from repro.ilp.options import SolveOptions, check_engine, load_solver_stack
 from repro.trace import ensure
 from repro.alloc import abcolor, decode as decode_mod
 from repro.alloc.ilpmodel import (
@@ -100,6 +100,12 @@ def _solve_options(am: AllocModel, options: AllocOptions) -> SolveOptions:
     return replace(options.solve, root_relaxation=True)
 
 
+def _solve(model, options: SolveOptions, tracer):
+    """:func:`repro.ilp.solve.solve_model`: both allocator solves go
+    through here, and the first in a process loads the solver stack."""
+    return load_solver_stack().solve_model(model, options, tracer)
+
+
 def _solve_chain(model, options: AllocOptions, tracer):
     """Solve ``model`` through the engine chain.
 
@@ -110,7 +116,7 @@ def _solve_chain(model, options: AllocOptions, tracer):
     """
     def run(solve_options):
         try:
-            return solve_model(model, solve_options, tracer), None
+            return _solve(model, solve_options, tracer), None
         except Exception as exc:  # solver crash = failed stage, not fatal
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -196,7 +202,7 @@ def _allocate_spill_free(
         graph, first_model_options(options), tracer
     )
     try:
-        solution = solve_model(am.model, _solve_options(am, options), tracer)
+        solution = _solve(am.model, _solve_options(am, options), tracer)
     except Exception:  # solver crash: the full model's chain handles it
         return None
     if not solution.usable:

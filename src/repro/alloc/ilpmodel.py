@@ -44,7 +44,7 @@ from repro.ixp import isa
 from repro.ixp.banks import Bank, READ_BANK, WRITE_BANK, XFER_SIZE
 from repro.ixp.flowgraph import FlowGraph, PointMap
 from repro.ilp.model import Family, LinExpr, Model
-from repro.ilp.solve import SolveOptions, solve_model
+from repro.ilp.options import SolveOptions, load_solver_stack
 from repro.trace import ensure
 from repro.alloc import frequency, liveness, pruning
 
@@ -74,10 +74,6 @@ class ModelOptions:
     #: bank (the graph must have been through
     #: :func:`repro.alloc.remat.lift_constants`).
     remat_constants: bool = False
-    #: Costs (paper Section 7).
-    mv_cost: float = 1.0
-    ld_cost: float = 200.0
-    st_cost: float = 200.0
     #: Allow spilling at all (the default allocation first solves
     #: the model without M).
     allow_spill: bool = True
@@ -315,9 +311,7 @@ def build_model(
         live = liveness.analyze(graph)
         sets = build_instr_sets(graph, points)
         candidates = pruning.candidate_banks(graph, options.prune_banks)
-        costs = pruning.build_move_costs(
-            options.mv_cost, options.ld_cost, options.st_cost
-        )
+        costs = pruning.build_move_costs()
         weights = frequency.point_weights(graph)
         reps = clone_groups(sets)
 
@@ -659,12 +653,6 @@ def _build_color_constraints(am: AllocModel) -> None:
     _build_interference_constraints(am, colorable)
 
 
-def _shared_live_points(am: AllocModel, v1: str, v2: str) -> list[int]:
-    points_v1 = {p for p, v in am.live.exists if v == v1}
-    points_v2 = {p for p, v in am.live.exists if v == v2}
-    return sorted(points_v1 & points_v2)
-
-
 def _build_interference_constraints(am: AllocModel, colorable) -> None:
     """Interfering temporaries simultaneously in one transfer bank must
     not share a color (Section 9)."""
@@ -923,6 +911,12 @@ def _pigeonhole(am: AllocModel) -> bool:
     return False
 
 
+def _solve(model: Model, options: SolveOptions):
+    """:func:`repro.ilp.solve.solve_model` for the coloring pre-solve,
+    often the first solve in a process, which loads the solver stack."""
+    return load_solver_stack().solve_model(model, options)
+
+
 def _fixed_coloring(am: AllocModel, tracer) -> dict[tuple[str, Bank], int] | None:
     """The coloring pre-solve: a bank-independent transfer coloring, or None.
 
@@ -945,7 +939,7 @@ def _fixed_coloring(am: AllocModel, tracer) -> dict[tuple[str, Bank], int] | Non
             _build_color_constraints(view)
             _build_clone_constraints(view, location=False)
             _build_spare_register_constraints(view)
-            solution = solve_model(cm, SolveOptions(time_limit=None))
+            solution = _solve(cm, SolveOptions(time_limit=None))
             if solution.status == "optimal":
                 colors = {
                     (v, b): r

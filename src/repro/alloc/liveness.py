@@ -33,9 +33,6 @@ class Liveness:
     live_entry: dict[str, set[str]] = field(default_factory=dict)
     live_exit: dict[str, set[str]] = field(default_factory=dict)
 
-    def exists_at(self, point: int) -> set[str]:
-        return {v for (p, v) in self.exists if p == point}
-
 
 def analyze(graph: FlowGraph) -> Liveness:
     points = graph.points()

@@ -29,14 +29,17 @@ from repro.ixp.flowgraph import FlowGraph
 
 INFINITE = float("inf")
 
+#: Section 7's costs: a register-register move (mvC), a scratch load
+#: (ldC) and a scratch store (stC).
+MV_COST = 1.0
+LD_COST = 200.0
+ST_COST = 200.0
+
 
 @dataclass(frozen=True)
 class MoveCosts:
     """Shortest-path inter-bank move costs (in mvC/ldC/stC units)."""
 
-    mv: float
-    ld: float
-    st: float
     table: dict[tuple[Bank, Bank], float]
 
     def cost(self, src: Bank, dst: Bank) -> float:
@@ -48,14 +51,14 @@ class MoveCosts:
         return self.cost(src, dst) < INFINITE
 
 
-def build_move_costs(mv: float = 1.0, ld: float = 200.0, st: float = 200.0) -> MoveCosts:
+def build_move_costs() -> MoveCosts:
     """Floyd-Warshall over the primitive datapath edges.
 
     Primitive edges:
-      {A,B,L,LD} → {A,B,S,SD}   (ALU pass, cost mv)
-      S → M                     (scratch store, cost st)
-      SD → M                    (spill via SDRAM store, cost st)
-      M → L                     (scratch load, cost ld)
+      {A,B,L,LD} → {A,B,S,SD}   (ALU pass, cost MV_COST)
+      S → M                     (scratch store, cost ST_COST)
+      SD → M                    (spill via SDRAM store, cost ST_COST)
+      M → L                     (scratch load, cost LD_COST)
 
     LD is only reachable through an SDRAM read, never by a move, so no
     edge produces it.
@@ -65,10 +68,10 @@ def build_move_costs(mv: float = 1.0, ld: float = 200.0, st: float = 200.0) -> M
     for src in (Bank.A, Bank.B, Bank.L, Bank.LD):
         for dst in (Bank.A, Bank.B, Bank.S, Bank.SD):
             if src != dst:
-                dist[(src, dst)] = mv
-    dist[(Bank.S, Bank.M)] = st
-    dist[(Bank.SD, Bank.M)] = st
-    dist[(Bank.M, Bank.L)] = ld
+                dist[(src, dst)] = MV_COST
+    dist[(Bank.S, Bank.M)] = ST_COST
+    dist[(Bank.SD, Bank.M)] = ST_COST
+    dist[(Bank.M, Bank.L)] = LD_COST
     for mid in banks:
         for src in banks:
             for dst in banks:
@@ -79,7 +82,7 @@ def build_move_costs(mv: float = 1.0, ld: float = 200.0, st: float = 200.0) -> M
                 )
                 if through < dist.get((src, dst), INFINITE):
                     dist[(src, dst)] = through
-    return MoveCosts(mv, ld, st, dist)
+    return MoveCosts(dist)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from repro.cache import CompileCache, cached_compile
 from repro.compiler import Compilation, CompileOptions
 from repro.errors import NovaError
-from repro.ilp.solve import load_solver_stack
+from repro.ilp.options import load_solver_stack
 from repro.trace import Tracer, ensure
 
 
@@ -212,7 +212,7 @@ def scatter(
     warm pool across calls rather than paying per-call fork + import.
 
     ``solves`` says the workers may solve an ILP.  A fresh pool is then
-    forked after :func:`~repro.ilp.solve.load_solver_stack`, so its
+    forked after :func:`~repro.ilp.options.load_solver_stack`, so its
     workers share this process's numpy and scipy pages instead of each
     importing the libraries at its first solve.
     """

@@ -55,7 +55,7 @@ def _plain(value, path: str = "options"):
 
     Dataclass fields declared with ``metadata={"fingerprint": False}``
     are runtime-only plumbing (e.g. the warm-start hint directory on
-    :class:`repro.ilp.solve.SolveOptions`) and are excluded, so setting
+    :class:`repro.ilp.options.SolveOptions`) and are excluded, so setting
     them never changes a cache key.
 
     A value outside the plain-data vocabulary raises :class:`TypeError`

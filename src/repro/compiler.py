@@ -126,10 +126,6 @@ class Compilation:
         assert self.alloc is not None, "allocator was not run"
         return self.alloc.physical
 
-    @property
-    def input_temps(self) -> tuple[str, ...]:
-        return self.first_order.params
-
     def inputs_by_name(self) -> dict[str, list[str]]:
         """Entry-function source parameter names → flattened input temps."""
         return self.cps.param_names[self.cps.entry]

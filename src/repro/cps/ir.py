@@ -381,35 +381,6 @@ def vars_defined(term: Term) -> list[str]:
     return []
 
 
-def free_vars(term: Term) -> set[str]:
-    """Free CPS variables (data variables, not continuation names)."""
-    free: set[str] = set()
-
-    def walk(t: Term, bound: set[str]) -> None:
-        for atom in atoms_used(t):
-            if isinstance(atom, Var) and atom.name not in bound:
-                free.add(atom.name)
-        if isinstance(t, LetCont):
-            walk(t.kbody, bound | set(t.params))
-            walk(t.body, bound)
-            return
-        if isinstance(t, LetFun):
-            for g in t.funs:
-                walk(g.body, bound | set(g.params))
-            walk(t.body, bound)
-            return
-        if isinstance(t, If):
-            walk(t.then_term, bound)
-            walk(t.else_term, bound)
-            return
-        new_bound = bound | set(vars_defined(t))
-        for child in subterms(t):
-            walk(child, new_bound)
-
-    walk(term, set())
-    return free
-
-
 def count_occurrences(term: Term) -> dict[str, int]:
     """Number of uses of each variable (data uses only)."""
     counts: dict[str, int] = {}

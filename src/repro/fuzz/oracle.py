@@ -37,7 +37,8 @@ stage across the matrix instead of calling ``compile_nova`` per config:
   :class:`~repro.alloc.ilpmodel.AllocModel` the allocator builds first
   (the spill-free model on the default path, so ``alloc-highs``,
   ``alloc-bnb`` and ``alloc-baseline`` build it once) and, via the
-  memoized ``Model.standard_form``, one sparse-matrix conversion;
+  memoized :func:`repro.ilp.solve.standard_form`, one sparse-matrix
+  conversion;
 - an optional :class:`repro.cache.CompileCache` short-circuits repeat
   compiles entirely (shrinking re-checks the same base program many
   times).  Cached artifacts are slim — ``alloc.model`` is dropped — so
@@ -62,7 +63,7 @@ from repro.compiler import (
     parse_front,
 )
 from repro.errors import AllocError, NovaError, SimulatorError
-from repro.ilp.solve import SolveOptions
+from repro.ilp.options import SolveOptions
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
 from repro.trace import ensure

@@ -15,7 +15,9 @@ The lookup validates the stored point against every constraint row
 before use, and an unreadable entry reads as "absent".
 :func:`repro.ilp.solve.solve_model` does the lookup and the save
 whenever :attr:`SolveOptions.hint_dir` is set; this module only hides
-the file format.
+the file format.  It also holds :func:`satisfies_rows`, the row check
+that a stored optimum and an LP's rounded vertex both pass before they
+count as a 0-1 solution.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ import os
 import tempfile
 from pathlib import Path
 
-from repro.ilp.model import Model, Solution
+import numpy as np
+import scipy
+
+from repro.ilp.model import Solution
 
 #: Constraint-row tolerance when validating a stored point against a model.
 FEAS_TOL = 1e-6
@@ -68,8 +73,6 @@ class HintStore:
 
     def save_optimum(self, digest: str, solution: Solution) -> None:
         """Record a cold solve's proven optimum by variable index; atomic."""
-        import numpy as np
-
         _write(
             self.optimum_path(digest),
             {
@@ -112,18 +115,23 @@ def _write(path: Path, doc: dict) -> None:
         raise
 
 
-def solve_digest(model: Model, engine: str, gap: float) -> str:
+def satisfies_rows(matrix, lb, ub, x) -> bool:
+    """True when ``matrix @ x`` lies within ``[lb, ub]`` to :data:`FEAS_TOL`."""
+    row = matrix @ x
+    return not (np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL))
+
+
+def solve_digest(form: tuple, engine: str, gap: float) -> str:
     """Content key of a solve: what a deterministic engine's answer depends on.
 
-    The standard form (cost vector, CSR ``indptr``/``indices``/``data``,
-    row bounds, shape), the engine, the MIP gap and scipy's version.
-    The time and node budgets are left out: a solve that ends
-    ``optimal`` never reached them, so they did not shape its answer.
+    ``form`` is the model's standard form ``(c, matrix, lb, ub)``
+    (:func:`repro.ilp.solve.standard_form`); the key covers the cost
+    vector, the CSR ``indptr``/``indices``/``data``, the row bounds and
+    the shape, plus the engine, the MIP gap and scipy's version.  The
+    time and node budgets are left out: a solve that ends ``optimal``
+    never reached them, so they did not shape its answer.
     """
-    import numpy as np
-    import scipy
-
-    c, matrix, lb, ub = model.standard_form()
+    c, matrix, lb, ub = form
     digest = hashlib.sha256(
         f"{OPTIMUM_FORMAT} {engine} {gap!r} {scipy.__version__} "
         f"{matrix.shape}".encode()
@@ -134,27 +142,24 @@ def solve_digest(model: Model, engine: str, gap: float) -> str:
     return digest.hexdigest()
 
 
-def reused_optimum(model: Model, entry: dict) -> Solution | None:
+def reused_optimum(form: tuple, entry: dict) -> Solution | None:
     """The stored proven optimum as a :class:`Solution`; None unless valid.
 
-    The point must satisfy every constraint row, and its recomputed
-    objective must match the stored one to ``FEAS_TOL``, relative or
-    absolute (the engine reports ``c @ x`` of its unrounded point).
-    The solution reports the stored objective and gap, as the cold
-    solve did, and zero nodes and seconds.
+    ``form`` is the standard form ``(c, matrix, lb, ub)`` of the model
+    being solved.  The point must satisfy every constraint row, and its
+    recomputed objective must match the stored one to ``FEAS_TOL``,
+    relative or absolute (the engine reports ``c @ x`` of its unrounded
+    point).  The solution reports the stored objective and gap, as the
+    cold solve did, and zero nodes and seconds.
     """
-    import numpy as np
-
-    x = np.zeros(model.num_vars)
+    c, matrix, lb, ub = form
+    x = np.zeros(len(c))
     ones = entry["ones"]
-    if ones and (min(ones) < 0 or max(ones) >= model.num_vars):
+    if ones and (min(ones) < 0 or max(ones) >= len(c)):
         return None
     x[ones] = 1.0
-    c, matrix, lb, ub = model.standard_form()
-    if len(model.constraints):
-        row = matrix @ x
-        if np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL):
-            return None
+    if not satisfies_rows(matrix, lb, ub, x):
+        return None
     stored = float(entry["objective"])
     if not math.isclose(
         float(c @ x), stored, rel_tol=FEAS_TOL, abs_tol=FEAS_TOL

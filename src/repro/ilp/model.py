@@ -13,17 +13,16 @@ gives the allocator the same vocabulary:
 
 Constraints and the objective reference variables by dense integer ids,
 so conversion to sparse matrix form (for HiGHS or our own solver) is a
-single pass.
+single pass: :func:`repro.ilp.solve.standard_form`, on the solver side.
+This module is pure Python; building a model loads neither numpy nor
+scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Any
 
 
 @dataclass
@@ -88,16 +87,10 @@ class Model:
         self.families: dict[str, Family] = {}
         self.constraints: list[_Constraint] = []
         self.objective: dict[int, float] = {}
-        #: bumped by every mutating call; keys the standard_form memo so
-        #: one model solved by several engines converts to matrices once.
-        self._mutations = 0
-        self._standard_cache: tuple | None = None
-
-    def __getstate__(self):
-        # The memoized matrices are cheap to rebuild and bulky to pickle.
-        state = self.__dict__.copy()
-        state["_standard_cache"] = None
-        return state
+        #: bumped by every mutating call; keys the memo of
+        #: :func:`repro.ilp.solve.standard_form`, so one model solved by
+        #: several engines converts to matrices once.
+        self.mutations = 0
 
     # -- variables ------------------------------------------------------------
 
@@ -112,7 +105,7 @@ class Model:
         var = self.num_vars
         self.num_vars += 1
         self.var_names.append((family, key))
-        self._mutations += 1
+        self.mutations += 1
         return var
 
     def name_of(self, var: int) -> str:
@@ -132,75 +125,21 @@ class Model:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad constraint sense {sense!r}")
         self.constraints.append(_Constraint(dict(coeffs), sense, rhs, note))
-        self._mutations += 1
+        self.mutations += 1
 
     def add_sum_eq(self, vars_: list[int], rhs: float, note: str = "") -> None:
         self.add({v: 1.0 for v in vars_}, "==", rhs, note)
-
-    def add_sum_le(self, vars_: list[int], rhs: float, note: str = "") -> None:
-        self.add({v: 1.0 for v in vars_}, "<=", rhs, note)
 
     # -- objective -----------------------------------------------------------------
 
     def minimize(self, coeffs: dict[int, float]) -> None:
         for var, coef in coeffs.items():
             self.objective[var] = self.objective.get(var, 0.0) + coef
-        self._mutations += 1
+        self.mutations += 1
 
     @property
     def objective_terms(self) -> int:
         return sum(1 for c in self.objective.values() if c != 0.0)
-
-    # -- standard form -----------------------------------------------------------
-
-    def standard_form(self):
-        """Return (c, A, lb_row, ub_row) with one row per constraint.
-
-        Row senses are encoded as [lb, ub] bounds on A @ x, suitable for
-        :class:`scipy.optimize.LinearConstraint`.
-
-        Memoized against the mutation counter (and objective identity,
-        for code that rebinds ``objective`` wholesale): the fuzz oracle
-        solves one model under several engines, and the sparse-matrix
-        conversion is a large share of small-model solve time.  Callers
-        must treat the returned arrays as read-only.
-
-        The first call in a process imports numpy and scipy: building a
-        model needs neither, so only a process that solves pays for them.
-        """
-        key = (self._mutations, id(self.objective))
-        cached = self._standard_cache
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        import numpy as np
-        from scipy import sparse
-
-        rows: list[int] = []
-        cols: list[int] = []
-        data: list[float] = []
-        lb = np.empty(len(self.constraints))
-        ub = np.empty(len(self.constraints))
-        for i, con in enumerate(self.constraints):
-            for var, coef in con.coeffs.items():
-                rows.append(i)
-                cols.append(var)
-                data.append(coef)
-            if con.sense == "<=":
-                lb[i], ub[i] = -np.inf, con.rhs
-            elif con.sense == ">=":
-                lb[i], ub[i] = con.rhs, np.inf
-            else:
-                lb[i], ub[i] = con.rhs, con.rhs
-        matrix = sparse.csr_matrix(
-            (data, (rows, cols)),
-            shape=(len(self.constraints), self.num_vars),
-        )
-        c = np.zeros(self.num_vars)
-        for var, coef in self.objective.items():
-            c[var] = coef
-        result = (c, matrix, lb, ub)
-        self._standard_cache = (key, result)
-        return result
 
     # -- reporting --------------------------------------------------------------
 
@@ -222,7 +161,8 @@ class Solution:
 
     status: str  # 'optimal' | 'infeasible' | 'timeout' | 'unbounded' | 'failed'
     objective: float
-    values: np.ndarray
+    #: one value per variable (a numpy array; 0/1 for a usable solution)
+    values: Any
     root_relaxation_seconds: float
     integer_seconds: float
     nodes: int = 0

@@ -28,63 +28,93 @@ and scipy) is returned without a solve; otherwise the engine solves
 cold, exactly as without a store, and an ``optimal`` result is recorded
 by content for the next solve.
 
-numpy and scipy are imported by the functions that use them, not by this
-module: every process that builds a :class:`CompileOptions` imports
-:class:`SolveOptions`, and only the ones that solve need the libraries.
+This module is the solver side of :mod:`repro.ilp`: it turns a
+:class:`~repro.ilp.model.Model` into sparse standard form
+(:func:`standard_form`) and imports numpy and scipy to do so.  Outside
+:mod:`repro.ilp` it is reached only through
+:func:`repro.ilp.options.load_solver_stack`, so a process that never
+solves never loads the libraries.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+import weakref
 
-from repro.ilp.hints import FEAS_TOL, HintStore, reused_optimum, solve_digest
+import numpy as np
+from scipy import optimize, sparse
+
+from repro.ilp.hints import (
+    HintStore,
+    reused_optimum,
+    satisfies_rows,
+    solve_digest,
+)
 from repro.ilp.model import Model, Solution
+from repro.ilp.options import SolveOptions, check_engine
 from repro.trace import ensure
-
-if TYPE_CHECKING:
-    import numpy as np
-
-#: The solver engines :func:`solve_model` accepts.
-ENGINES = ("highs", "bnb")
 
 #: How far an LP value may sit from 0 or 1 and still count as integral.
 INTEGRAL_TOL = 1e-6
 
+#: The :func:`standard_form` memo: model → (the key it was built at,
+#: the form).  Weak, so a model's matrices are freed with the model.
+_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-@dataclass
-class SolveOptions:
-    engine: str = "highs"  # one of ENGINES
-    time_limit: float | None = 600.0
-    gap: float = 1e-4  # CPLEX-style relative MIP gap (paper: 0.01%)
-    node_limit: int = 200_000
-    #: solve the LP relaxation before branch-and-cut and report its
-    #: time; an integral vertex ends the solve (the ``bnb`` engine's
-    #: first node is that LP already; a tracer never sets this).
-    root_relaxation: bool = False
-    #: Directory of proven optima (a :class:`HintStore`), for any
-    #: engine: an identical model's optimum is returned without a solve.
-    #: Runtime plumbing, not part of the problem statement — excluded
-    #: from cache fingerprints.
-    hint_dir: str | None = field(
-        default=None, metadata={"fingerprint": False}
+
+def standard_form(model: Model) -> tuple:
+    """Return (c, A, lb_row, ub_row) with one row per constraint.
+
+    Row senses are encoded as [lb, ub] bounds on A @ x, suitable for
+    :class:`scipy.optimize.LinearConstraint`.
+
+    Memoized against the model's mutation counter (and objective
+    identity, for code that rebinds ``objective`` wholesale): the fuzz
+    oracle solves one model under several engines, and the sparse-matrix
+    conversion is a large share of small-model solve time.  Callers
+    must treat the returned arrays as read-only.
+    """
+    key = (model.mutations, id(model.objective))
+    cached = _FORMS.get(model)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    lb = np.empty(len(model.constraints))
+    ub = np.empty(len(model.constraints))
+    for i, con in enumerate(model.constraints):
+        for var, coef in con.coeffs.items():
+            rows.append(i)
+            cols.append(var)
+            data.append(coef)
+        if con.sense == "<=":
+            lb[i], ub[i] = -np.inf, con.rhs
+        elif con.sense == ">=":
+            lb[i], ub[i] = con.rhs, np.inf
+        else:
+            lb[i], ub[i] = con.rhs, con.rhs
+    matrix = sparse.csr_matrix(
+        (data, (rows, cols)),
+        shape=(len(model.constraints), model.num_vars),
     )
+    c = np.zeros(model.num_vars)
+    for var, coef in model.objective.items():
+        c[var] = coef
+    result = (c, matrix, lb, ub)
+    _FORMS[model] = (key, result)
+    return result
 
 
 def solve_root_relaxation(model: Model) -> tuple[float, float, np.ndarray]:
     """Solve the LP relaxation; returns (objective, seconds, x)."""
-    c, matrix, lb, ub = model.standard_form()
-    return _root_relaxation(c, matrix, lb, ub, model.num_vars)
+    return _root_relaxation(*standard_form(model))
 
 
-def _root_relaxation(c, matrix, lb, ub, num_vars, time_limit=None):
+def _root_relaxation(c, matrix, lb, ub, time_limit=None):
     """The LP relaxation; objective ``inf`` when it fails or runs out
     of ``time_limit`` seconds."""
-    import numpy as np
-    from scipy import optimize
-
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
     a_eq, b_eq = _eq_matrix(matrix, lb, ub)
     start = time.perf_counter()
@@ -100,13 +130,11 @@ def _root_relaxation(c, matrix, lb, ub, num_vars, time_limit=None):
     )
     seconds = time.perf_counter() - start
     if not res.success:
-        return math.inf, seconds, np.zeros(num_vars)
+        return math.inf, seconds, np.zeros(len(c))
     return float(res.fun), seconds, res.x
 
 
 def _split_rows(matrix, lb, ub):
-    import numpy as np
-
     eq_rows = np.where(lb == ub)[0]
     le_rows = np.where((ub < np.inf) & (lb != ub))[0]
     ge_rows = np.where((lb > -np.inf) & (lb != ub))[0]
@@ -114,9 +142,6 @@ def _split_rows(matrix, lb, ub):
 
 
 def _ub_matrix(matrix, lb, ub):
-    import numpy as np
-    from scipy import sparse
-
     _, le_rows, ge_rows = _split_rows(matrix, lb, ub)
     parts = []
     rhs = []
@@ -137,27 +162,6 @@ def _eq_matrix(matrix, lb, ub):
     return matrix[eq_rows], ub[eq_rows]
 
 
-def load_solver_stack() -> None:
-    """Import numpy and the parts of scipy the engines call, now.
-
-    The first solve in a process would import them anyway.  A process
-    that forks compile workers calls this before it accepts work, so
-    every worker starts with the stack loaded (:mod:`repro.serve`).
-    """
-    import numpy  # noqa: F401
-    import scipy.optimize  # noqa: F401
-    import scipy.sparse  # noqa: F401
-
-
-def check_engine(engine: str) -> None:
-    """Raise :class:`ValueError` unless ``engine`` is in :data:`ENGINES`."""
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown solver engine {engine!r}; "
-            f"expected one of {', '.join(ENGINES)}"
-        )
-
-
 def solve_model(
     model: Model, options: SolveOptions | None = None, tracer=None
 ) -> Solution:
@@ -165,8 +169,6 @@ def solve_model(
     check_engine(options.engine)
     tracer = ensure(tracer)
     if model.num_vars == 0:
-        import numpy as np
-
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
     with tracer.span("solve", engine=options.engine) as sp:
         store, digest, solution = _reuse(model, options, tracer)
@@ -205,9 +207,10 @@ def _reuse(model: Model, options: SolveOptions, tracer):
         return None, None, None
     store = HintStore(options.hint_dir)
     with tracer.span("portfolio.warm_start") as sp:
-        digest = solve_digest(model, options.engine, options.gap)
+        form = standard_form(model)
+        digest = solve_digest(form, options.engine, options.gap)
         entry = store.load_optimum(digest)
-        reused = reused_optimum(model, entry) if entry is not None else None
+        reused = reused_optimum(form, entry) if entry is not None else None
         if sp:
             sp.add(
                 key=digest[:12],
@@ -224,16 +227,11 @@ _MILP_STATUS = {2: "infeasible", 3: "unbounded", 4: "failed"}
 def _solve_highs(model: Model, options: SolveOptions) -> Solution:
     """HiGHS branch & cut via :func:`scipy.optimize.milp`, after the LP
     relaxation when :attr:`SolveOptions.root_relaxation` asks for it."""
-    import numpy as np
-    from scipy import optimize
-
-    c, matrix, lb, ub = model.standard_form()
+    c, matrix, lb, ub = standard_form(model)
     root_seconds = 0.0
     time_limit = options.time_limit
     if options.root_relaxation:
-        bound, root_seconds, x = _root_relaxation(
-            c, matrix, lb, ub, model.num_vars, time_limit
-        )
+        bound, root_seconds, x = _root_relaxation(c, matrix, lb, ub, time_limit)
         answer = _integral_vertex(matrix, lb, ub, bound, x)
         if answer is not None:
             return Solution(
@@ -307,21 +305,17 @@ def _integral_vertex(matrix, lb, ub, bound, x):
 
     None unless the LP solved (``bound`` finite), every entry is within
     :data:`INTEGRAL_TOL` of 0 or 1, and the rounded point satisfies
-    every row to the optimum store's :data:`~repro.ilp.hints.FEAS_TOL`.
-    Such a point is optimal for the ILP, whose feasible set the LP's
-    contains.
+    every row (:func:`~repro.ilp.hints.satisfies_rows`, as a stored
+    optimum must).  Such a point is optimal for the ILP, whose feasible
+    set the LP's contains.
     """
-    import numpy as np
-
     if not math.isfinite(bound):
         return None
     rounded = np.round(x)
     if np.any(np.abs(x - rounded) > INTEGRAL_TOL):
         return None
-    if matrix.shape[0]:
-        row = matrix @ rounded
-        if np.any(row < lb - FEAS_TOL) or np.any(row > ub + FEAS_TOL):
-            return None
+    if not satisfies_rows(matrix, lb, ub, rounded):
+        return None
     return rounded
 
 
@@ -349,10 +343,7 @@ def _solve_bnb(model: Model, options: SolveOptions) -> Solution:
     incumbent is within ``options.gap`` of it (relative MIP gap), exactly
     like CPLEX's ``mipgap`` termination.
     """
-    import numpy as np
-    from scipy import optimize
-
-    c, matrix, lb, ub = model.standard_form()
+    c, matrix, lb, ub = standard_form(model)
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
     a_eq, b_eq = _eq_matrix(matrix, lb, ub)
     n = model.num_vars

@@ -86,37 +86,3 @@ READ_BANK = {"sram": Bank.L, "scratch": Bank.L, "sdram": Bank.LD, "rfifo": Bank.
 #: Source bank of aggregate writes per memory space; the transmit FIFO
 #: fills from the SRAM-side write transfer registers.
 WRITE_BANK = {"sram": Bank.S, "scratch": Bank.S, "sdram": Bank.SD, "tfifo": Bank.S}
-
-
-def legal_move(src: Bank, dst: Bank) -> bool:
-    """Whether a direct register-register move src → dst exists.
-
-    Moves are ALU passes, so the source must be a legal ALU input and the
-    destination a legal ALU output.  Moves within one transfer bank do
-    not exist (paper: "no direct path from any register in a transfer
-    bank to another register in the same transfer bank"), but src == dst
-    is the trivial stay-put "move" of the ILP model.
-    """
-    if src == dst:
-        return src is not Bank.M  # staying in scratch is fine too, but
-        # M→M is represented as no move at all; treat as legal identity.
-    if src is Bank.M or dst is Bank.M:
-        # Spill/reload path; goes through S (store) or L (load) and is
-        # expanded by the decoder, legal from/to any ALU-reachable bank.
-        return True
-    return src in ALU_INPUT_BANKS and dst in ALU_OUTPUT_BANKS
-
-
-def move_cost_terms(src: Bank, dst: Bank, mv: int, ld: int, st: int) -> int:
-    """Cost of realizing a move src → dst (paper Section 7).
-
-    A register-register move costs ``mv``.  Spilling to M costs a move
-    plus a store; reloading costs a move plus a load.
-    """
-    if src == dst:
-        return 0
-    if dst is Bank.M:
-        return mv + st
-    if src is Bank.M:
-        return mv + ld
-    return mv

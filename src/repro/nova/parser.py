@@ -82,12 +82,6 @@ class _Parser:
             raise ParseError(f"expected '{text}', found '{tok}'", tok.span)
         return self.next()
 
-    def expect_keyword(self, text: str) -> Token:
-        tok = self.peek()
-        if not tok.is_keyword(text):
-            raise ParseError(f"expected '{text}', found '{tok}'", tok.span)
-        return self.next()
-
     def expect_ident(self) -> Token:
         tok = self.peek()
         if tok.kind is not TokenKind.IDENT:

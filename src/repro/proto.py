@@ -35,7 +35,7 @@ import json
 from repro.alloc.allocator import AllocOptions
 from repro.alloc.ilpmodel import ModelOptions
 from repro.compiler import CompileOptions
-from repro.ilp.solve import ENGINES, SolveOptions
+from repro.ilp.options import ENGINES, SolveOptions
 
 #: One request or response line may not exceed this (64 MiB): big enough
 #: for any real source file or listing, small enough to bound memory.

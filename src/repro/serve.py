@@ -61,7 +61,7 @@ from pathlib import Path
 from repro.batch import BatchError, default_jobs, merge_cache_stats
 from repro.cache import CompileCache
 from repro.compiler import Compilation, CompileOptions, compile_nova
-from repro.ilp.solve import load_solver_stack
+from repro.ilp.options import load_solver_stack
 from repro.proto import (
     MAX_LINE,
     PAYLOADS,

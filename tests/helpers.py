@@ -17,6 +17,16 @@ SPILLED_INPUTS_SOURCE = (
     f"fun main ({', '.join(SPILLED_PARAMS)}) {{ {' + '.join(SPILLED_PARAMS)} }}"
 )
 
+#: ``main(b)`` reads this many words from ``sram(b)`` on, hashes ``b``
+#: and returns their sum: all of them are live at the hash, more than
+#: the A and B banks hold (15 + 16).
+PRESSURE_VALUES = 33
+PRESSURE_SOURCE = (
+    "fun main (b) {\n"
+    + "".join(f"  let x{i} = sram(b + {i});\n" for i in range(PRESSURE_VALUES))
+    + f"  hash(b); {' + '.join(f'x{i}' for i in range(PRESSURE_VALUES))}\n}}"
+)
+
 
 def record_calls(
     monkeypatch, owner, name: str, calls: list | None = None, fail: bool = False

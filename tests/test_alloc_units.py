@@ -193,7 +193,7 @@ class TestPruningAndCosts:
         assert len(cand.of("anything")) == 7
 
     def test_move_costs_match_paper_section7(self):
-        costs = build_move_costs(mv=1, ld=200, st=200)
+        costs = build_move_costs()
         # Direct ALU pass.
         assert costs.cost(Bank.A, Bank.B) == 1
         assert costs.cost(Bank.L, Bank.S) == 1

@@ -19,7 +19,7 @@ from repro.cache import (
     options_fingerprint,
 )
 from repro.compiler import CompileOptions, compile_nova
-from repro.ilp.solve import SolveOptions
+from repro.ilp.options import SolveOptions
 from repro.trace import Tracer
 
 SOURCE = """

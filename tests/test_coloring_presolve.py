@@ -25,7 +25,7 @@ from repro.fuzz.gen import generate
 from repro.ilp import solve as solve_mod
 from repro.trace import Tracer
 
-from tests.helpers import compile_virtual, record_calls
+from tests.helpers import PRESSURE_SOURCE, compile_virtual, record_calls
 from tests.programs import case
 from tests.test_model_encodings import PROGRAMS
 
@@ -152,15 +152,12 @@ def test_nat_keeps_coloring_in_the_ilp():
 
 def test_pigeonhole_rejects_without_a_presolve(monkeypatch):
     """33 values read into L are live at once: more than L's 8 registers."""
-    n = 33
-    reads = "\n".join(f"  let x{i} = sram(b + {i});" for i in range(n))
-    uses = " + ".join(f"x{i}" for i in range(n))
-    comp = compile_virtual(f"fun main (b) {{\n{reads}\n  hash(b); {uses}\n}}")
+    comp = compile_virtual(PRESSURE_SOURCE)
 
     def no_solve(*args, **kwargs):
         raise AssertionError("the coloring pre-solve ran")
 
-    monkeypatch.setattr(ilpmodel, "solve_model", no_solve)
+    monkeypatch.setattr(ilpmodel, "_solve", no_solve)
     for allow_spill in (False, True):
         tracer = Tracer()
         am = build_model(

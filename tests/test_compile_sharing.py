@@ -26,7 +26,8 @@ from repro.compiler import (
 from repro.fuzz.gen import GenConfig, generate
 from repro.fuzz.oracle import check_generated, default_configs
 from repro.ilp.model import LinExpr, Model
-from repro.ilp.solve import SolveOptions
+from repro.ilp.options import SolveOptions
+from repro.ilp.solve import standard_form
 
 SOURCE = """
 fun main (x, y) {
@@ -122,10 +123,10 @@ class TestModelSharing:
         a, b = x[("a",)], x[("b",)]
         model.add(LinExpr({a: 1, b: 1}), "<=", 1)
         model.minimize({a: 1.0, b: 2.0})
-        first = model.standard_form()
-        assert model.standard_form() is first
+        first = standard_form(model)
+        assert standard_form(model) is first
         model.add(LinExpr({a: 1}), ">=", 0)
-        second = model.standard_form()
+        second = standard_form(model)
         assert second is not first
         assert second[1].shape[0] == 2  # both constraints present
 
@@ -136,10 +137,10 @@ class TestModelSharing:
         a = x[("a",)]
         model.add(LinExpr({a: 1}), "<=", 1)
         model.minimize({a: 3.0})
-        first = model.standard_form()
+        first = standard_form(model)
         model.objective = {}
         model.minimize({a: 7.0})
-        second = model.standard_form()
+        second = standard_form(model)
         assert second is not first
         assert second[0][a] == 7.0
 

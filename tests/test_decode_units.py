@@ -12,19 +12,6 @@ def find_instrs(graph, cls):
     return [i for _, _, i in graph.instructions() if isinstance(i, cls)]
 
 
-@pytest.fixture(scope="module")
-def spilled_compilation():
-    """One shared solve of the high-pressure program (expensive)."""
-    n = 33
-    reads = "\n".join(f"  let x{i} = sram(b + {i});" for i in range(n))
-    uses = " + ".join(f"x{i}" for i in range(n))
-    return compile_full(
-        f"fun main (b) {{\n{reads}\n  hash(b); {uses}\n}}",
-        time_limit=90,
-        gap=0.5,
-    )
-
-
 class TestSpillSequencesUnit:
     """Deterministic spill decoding: force a spill through the model by
     removing the GPR banks from one temp's candidates."""
@@ -127,8 +114,8 @@ def build_model_with_candidates(graph, make_restrictions):
 
 
 class TestSpillCode:
-    def test_spill_sequences_use_scratch(self, spilled_compilation):
-        comp = spilled_compilation
+    def test_spill_sequences_use_scratch(self, pressure_compilation):
+        comp = pressure_compilation
         if comp.alloc.spills == 0:
             pytest.skip("solver fit everything without spills")
         scratch_ops = [
@@ -154,12 +141,12 @@ class TestSpillCode:
         ]
         assert spare_immeds
 
-    def test_spill_slots_disjoint(self, spilled_compilation):
-        slots = list(spilled_compilation.alloc.decoded.spill_slots.values())
+    def test_spill_slots_disjoint(self, pressure_compilation):
+        slots = list(pressure_compilation.alloc.decoded.spill_slots.values())
         assert len(slots) == len(set(slots))
 
-    def test_a15_never_allocated_to_temps(self, spilled_compilation):
-        comp = spilled_compilation
+    def test_a15_never_allocated_to_temps(self, pressure_compilation):
+        comp = pressure_compilation
         for (temp, bank), index in comp.alloc.ab.colors.items():
             if bank is Bank.A:
                 assert index != 15

@@ -10,7 +10,7 @@ import pytest
 from repro.alloc.allocator import AllocOptions, allocate
 from repro.compiler import CompileOptions, compile_nova
 from repro.errors import AllocError
-from repro.ilp.solve import SolveOptions
+from repro.ilp.options import SolveOptions
 from repro.trace import Tracer
 
 from tests.helpers import run_physical

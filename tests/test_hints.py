@@ -9,7 +9,8 @@ from repro.alloc.allocator import AllocOptions, allocate
 from repro.compiler import CompileOptions, compile_nova
 from repro.ilp.hints import OPTIMUM_FORMAT, HintStore, solve_digest
 from repro.ilp.model import Model
-from repro.ilp.solve import ENGINES, SolveOptions, solve_model
+from repro.ilp.options import ENGINES, SolveOptions
+from repro.ilp.solve import solve_model, standard_form
 from repro.trace import Tracer
 
 
@@ -45,6 +46,11 @@ def triangle_cover_model():
     return m
 
 
+def digest_of(model, engine, gap):
+    """The store key of a solve of ``model``."""
+    return solve_digest(standard_form(model), engine, gap)
+
+
 def outcome(tracer):
     return tracer.get("portfolio.warm_start").counters["outcome"]
 
@@ -67,7 +73,7 @@ class TestHints:
         # reuses it.  Both return what a solve without a store returns.
         reference = solve_model(assignment_model(), SolveOptions(engine=engine))
         options = hinted(tmp_path, engine)
-        digest = solve_digest(assignment_model(), engine, options.gap)
+        digest = digest_of(assignment_model(), engine, options.gap)
         for expected in ("none", "reused"):
             tracer = Tracer()
             solution = solve_model(assignment_model(), options, tracer)
@@ -96,7 +102,7 @@ class TestHints:
         options = hinted(tmp_path)
         assert solve_model(m, options).status == "infeasible"
         store = HintStore(options.hint_dir)
-        assert store.load_optimum(solve_digest(m, "highs", options.gap)) is None
+        assert store.load_optimum(digest_of(m, "highs", options.gap)) is None
         assert not list(store.root.rglob("*.json"))
 
     def test_tampered_hint_file_reads_as_no_hint(self, tmp_path):
@@ -129,7 +135,7 @@ class TestReuse:
             raise AssertionError("a reused optimum must not call the solver")
 
         path = HintStore(options.hint_dir).optimum_path(
-            solve_digest(assignment_model(), engine, options.gap)
+            digest_of(assignment_model(), engine, options.gap)
         )
         written = path.stat().st_mtime_ns
         monkeypatch.setattr("scipy.optimize.milp", no_solve)
@@ -181,7 +187,7 @@ class TestReuse:
         assert variant.status == "optimal"
         assert variant.objective == storeless.objective
         assert (variant.values == storeless.values).all()
-        digest = solve_digest(assignment_model(shift=1), "highs", options.gap)
+        digest = digest_of(assignment_model(shift=1), "highs", options.gap)
         assert HintStore(options.hint_dir).load_optimum(digest) is not None
         tracer = Tracer()
         again = solve_model(assignment_model(shift=1), options, tracer)
@@ -193,7 +199,7 @@ class TestReuse:
         options = dataclasses.replace(hinted(tmp_path, "bnb"), node_limit=2)
         starved = solve_model(triangle_cover_model(), options)
         assert starved.status == "timeout" and starved.usable
-        digest = solve_digest(triangle_cover_model(), "bnb", options.gap)
+        digest = digest_of(triangle_cover_model(), "bnb", options.gap)
         assert HintStore(options.hint_dir).load_optimum(digest) is None
         tracer = Tracer()
         full = dataclasses.replace(options, node_limit=200_000)
@@ -218,7 +224,7 @@ class TestReuse:
         cold = solve_model(assignment_model(), options)
         store = HintStore(options.hint_dir)
         path = store.optimum_path(
-            solve_digest(assignment_model(), "highs", options.gap)
+            digest_of(assignment_model(), "highs", options.gap)
         )
         doc = tamper(json.loads(path.read_text()))
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp.model import LinExpr, Model
-from repro.ilp.solve import SolveOptions, solve_model, solve_root_relaxation
+from repro.ilp.options import SolveOptions
+from repro.ilp.solve import solve_model, solve_root_relaxation, standard_form
 
 from tests.helpers import record_calls
 
@@ -55,7 +56,7 @@ class TestModel:
         m.add({x[(0,)]: 1.0, x[(1,)]: 2.0}, "<=", 3)
         m.add({x[(0,)]: 1.0}, "==", 1)
         m.add({x[(1,)]: 1.0}, ">=", 0)
-        c, matrix, lb, ub = m.standard_form()
+        c, matrix, lb, ub = standard_form(m)
         assert matrix.shape == (3, 2)
         assert ub[0] == 3 and lb[0] == -np.inf
         assert lb[1] == ub[1] == 1

@@ -1,14 +1,19 @@
 """numpy and scipy load only in a process that solves an ILP.
 
-Each check runs in a fresh interpreter, since this one has the solver
-stack loaded already.  The entry points that never solve (the client,
-the daemon module, the cache, the streaming runtime, ``novac
---virtual``, an allocated artifact loaded from the cache and run on the
-simulator) must leave both libraries out of ``sys.modules``; an
-allocating compile loads them, and so do the daemon and an allocating
-batch, before their pools fork.
+The boundary is one module deep: :mod:`repro.ilp.solve` and
+:mod:`repro.ilp.hints` import the libraries at module level, and the
+rest of the package reaches them only through
+:func:`repro.ilp.options.load_solver_stack`.  One test reads that off
+the source.  The others run in a fresh interpreter, since this one has
+the solver stack loaded already.  The entry points that never solve
+(the client, the daemon module, the cache, the streaming runtime,
+``novac --virtual``, an allocated artifact loaded from the cache and
+run on the simulator) must leave both libraries out of
+``sys.modules``; an allocating compile loads them, and so do the daemon
+and an allocating batch, before their pools fork.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -30,6 +35,61 @@ print(json.dumps(sorted(
     if name in sys.modules
 )))
 """
+
+
+#: The modules that import numpy and scipy, relative to ``src``.
+SOLVER_SIDE = {"repro/ilp/solve.py", "repro/ilp/hints.py"}
+
+
+def _imports(tree: ast.AST) -> list[tuple[str, str | None]]:
+    """``(module, scope)`` for every import in ``tree``.
+
+    ``scope`` names the innermost enclosing function or class, or is
+    None at module level.  ``from a import b`` yields both ``a`` and
+    ``a.b``, since ``b`` may be a submodule.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                inner = child.name
+            elif isinstance(child, ast.Lambda):
+                inner = "<lambda>"
+            elif isinstance(child, ast.Import):
+                found.extend((alias.name, scope) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.append((child.module, scope))
+                found.extend(
+                    (f"{child.module}.{alias.name}", scope)
+                    for alias in child.names
+                )
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_solver_stack_is_one_module_boundary():
+    violations = []
+    entries = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        rel = path.relative_to(ROOT / "src").as_posix()
+        for module, scope in _imports(ast.parse(path.read_text())):
+            where = f"{rel}: {module} in {scope or 'module scope'}"
+            if module.split(".")[0] in ("numpy", "scipy"):
+                if rel not in SOLVER_SIDE or scope is not None:
+                    violations.append(where)
+            elif module in ("repro.ilp.solve", "repro.ilp.hints"):
+                if scope is not None:
+                    entries.append((rel, scope))
+                elif rel not in SOLVER_SIDE:
+                    violations.append(where)
+    assert violations == []
+    assert entries == [("repro/ilp/options.py", "load_solver_stack")]
 
 
 def _fresh(code: str) -> list:

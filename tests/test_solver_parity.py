@@ -13,7 +13,8 @@ import random
 import pytest
 
 from repro.ilp.model import Model
-from repro.ilp.solve import SolveOptions, solve_model
+from repro.ilp.options import SolveOptions
+from repro.ilp.solve import solve_model
 
 ENGINES = ["highs", "bnb"]
 
