@@ -36,7 +36,7 @@ import sys
 import time
 from dataclasses import replace
 
-from repro.alloc.allocator import AllocOptions, _solve_options, first_model_options
+from repro.alloc.allocator import AllocOptions, _solve_options
 from repro.alloc.ilpmodel import build_model
 from repro.compiler import CompileOptions, compile_from_front, parse_front
 from repro.ilp.options import SolveOptions
@@ -153,7 +153,7 @@ def _build_alloc_model(name):
     options = CompileOptions()
     options.run_allocator = False
     comp = compile_from_front(parse_front(app.source, name), options)
-    return build_model(comp.flowgraph, first_model_options(AllocOptions()))
+    return build_model(comp.flowgraph, allow_spill=False)
 
 
 def _timed_solve(model, solve_options):

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 
 from repro.errors import AllocError
 from repro.ixp import isa
-from repro.ixp.banks import Bank
+from repro.ixp.banks import K_CAPACITY, Bank
 from repro.ixp.flowgraph import FlowGraph
 
-#: Colors usable per bank; A15 is the reserved spare.
-AVAILABLE = {Bank.A: list(range(15)), Bank.B: list(range(16))}
-SPARE_A = 15
+#: Colors usable per bank: the K capacities.
+AVAILABLE = {bank: list(range(k)) for bank, k in K_CAPACITY.items()}
+#: The A register the K capacity leaves out (A15).
+SPARE_A = K_CAPACITY[Bank.A]
 
 
 @dataclass

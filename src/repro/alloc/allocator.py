@@ -182,13 +182,6 @@ def allocate(
     return _finish(graph, am, solution, fallback=downgraded)
 
 
-def first_model_options(options: AllocOptions) -> ModelOptions:
-    """The model options :func:`allocate` builds its first model with."""
-    if options.two_phase:
-        return replace(options.model, allow_spill=False)
-    return options.model
-
-
 def _allocate_spill_free(
     graph: FlowGraph, options: AllocOptions, tracer, prebuilt
 ) -> AllocResult | None:
@@ -199,7 +192,7 @@ def _allocate_spill_free(
     The caller then solves the full model.
     """
     am = prebuilt if prebuilt is not None else build_model(
-        graph, first_model_options(options), tracer
+        graph, options.model, tracer, allow_spill=False
     )
     try:
         solution = _solve(am.model, _solve_options(am, options), tracer)

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import AllocError
 from repro.ixp import isa
-from repro.ixp.banks import Bank, READ_BANK, WRITE_BANK
+from repro.ixp.banks import K_CAPACITY, Bank, READ_BANK, WRITE_BANK
 from repro.ixp.flowgraph import Block, FlowGraph
 from repro.alloc import liveness
 
 #: GPR colors: A0..A14 plus B0..B15 (A15 stays the spare, as in the ILP).
-_GPR_COLORS = [(Bank.A, i) for i in range(15)] + [
-    (Bank.B, i) for i in range(16)
+_GPR_COLORS = [
+    (bank, i) for bank, k in K_CAPACITY.items() for i in range(k)
 ]
 
 

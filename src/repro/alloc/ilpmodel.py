@@ -41,13 +41,15 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import AllocError
 from repro.ixp import isa
-from repro.ixp.banks import Bank, READ_BANK, WRITE_BANK, XFER_SIZE
+from repro.ixp.banks import Bank, K_CAPACITY, READ_BANK, WRITE_BANK, XFER_SIZE
 from repro.ixp.flowgraph import FlowGraph, PointMap
 from repro.ilp.model import Family, LinExpr, Model
 from repro.ilp.options import SolveOptions, load_solver_stack
 from repro.trace import ensure
 from repro.alloc import frequency, liveness, pruning
 
+#: The bank sets of :mod:`repro.ixp.banks` in the order the builders
+#: walk them; that order fixes variable and row ids.
 ALU_IN = (Bank.A, Bank.B, Bank.L, Bank.LD)
 ALU_OUT = (Bank.A, Bank.B, Bank.S, Bank.SD)
 GPR = (Bank.A, Bank.B)
@@ -74,9 +76,6 @@ class ModelOptions:
     #: bank (the graph must have been through
     #: :func:`repro.alloc.remat.lift_constants`).
     remat_constants: bool = False
-    #: Allow spilling at all (the default allocation first solves
-    #: the model without M).
-    allow_spill: bool = True
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +247,9 @@ class AllocModel:
     #: the bank-independent transfer coloring, (temp, bank) → register,
     #: when the model leaves coloring out; None when ``color`` holds it.
     fixed_colors: dict[tuple[str, Bank], int] | None = None
+    #: whether temps may live in M; the allocator's spill-free solve
+    #: builds the model without it.
+    allow_spill: bool = True
     #: temp → :meth:`allowed` and temp → :meth:`colorable_banks`, each
     #: computed once per model (the row builders ask per point); a
     #: ``replace`` view of the model shares them.
@@ -265,7 +267,7 @@ class AllocModel:
                 banks = frozenset((Bank.C, Bank.A, Bank.B))
             else:
                 banks = self.candidates.of(temp)
-                if not self.options.allow_spill:
+                if not self.allow_spill:
                     banks = banks - {Bank.M}
             self._allowed[temp] = banks
         return banks
@@ -302,8 +304,13 @@ class AllocModel:
 
 
 def build_model(
-    graph: FlowGraph, options: ModelOptions | None = None, tracer=None
+    graph: FlowGraph,
+    options: ModelOptions | None = None,
+    tracer=None,
+    allow_spill: bool = True,
 ) -> AllocModel:
+    """Instantiate the allocation ILP for ``graph``; without
+    ``allow_spill`` no temp may live in M (the spill-free model)."""
     options = options or ModelOptions()
     tracer = ensure(tracer)
     with tracer.span("model") as sp:
@@ -329,6 +336,7 @@ def build_model(
             options,
             reps,
             const_temps=const_temps_of(graph) if options.remat_constants else {},
+            allow_spill=allow_spill,
         )
         _build_location_vars(am)
         _build_operand_constraints(am)
@@ -513,7 +521,6 @@ def _build_k_constraints(am: AllocModel) -> None:
     m = am.model
     clone_before = m.family("cloneBefore")
     clone_after = m.family("cloneAfter")
-    capacities = {Bank.A: 15, Bank.B: 16}
 
     for p, temps in _exists_by_point(am).items():
         groups: dict[str, list[str]] = {}
@@ -524,7 +531,7 @@ def _build_k_constraints(am: AllocModel) -> None:
                 singles.append(v)
             else:
                 groups.setdefault(rep, []).append(v)
-        for bank, capacity in capacities.items():
+        for bank, capacity in K_CAPACITY.items():
             for fam, side in ((am.before, clone_before), (am.after, clone_after)):
                 if fam is am.after and p in am.sets.no_move_points:
                     continue  # After == Before there

@@ -26,12 +26,17 @@ from dataclasses import dataclass, field
 
 from repro.alloc.decode import place_inputs
 from repro.errors import SimulatorError
-from repro.ixp.banks import Bank
+from repro.ixp.banks import (
+    ALU_INPUT_BANKS,
+    ALU_OUTPUT_BANKS,
+    K_CAPACITY,
+    XFER_BANKS,
+    XFER_SIZE,
+    Bank,
+)
 from repro.ixp.flowgraph import FlowGraph
 from repro.ixp.machine import Machine
 from repro.ixp.memory import MemorySystem
-
-XFER_BANKS = (Bank.L, Bank.S, Bank.LD, Bank.SD)
 
 
 @dataclass
@@ -166,25 +171,23 @@ def check_solution(am, solution) -> SolutionReport:
             report.add(f"copy broken: {v} is {a} after {p1}, {b} before {p2}")
 
     sets = am.sets
-    alu_in = {Bank.A, Bank.B, Bank.L, Bank.LD}
-    alu_out = {Bank.A, Bank.B, Bank.S, Bank.SD}
 
     for p1, p2, v in sets.def_abw:
         bank = before.get((p2, v))
-        if bank not in alu_out:
+        if bank not in ALU_OUTPUT_BANKS:
             report.add(f"DefABW: {v} defined into {bank} at {p2}")
     for p1, p2, v in sets.def_ab:
         if before.get((p2, v)) not in (Bank.A, Bank.B):
             report.add(f"DefAB: {v} defined into {before.get((p2, v))}")
     for p1, p2, v in sets.use_reg1:
-        if after.get((p1, v)) not in alu_in:
+        if after.get((p1, v)) not in ALU_INPUT_BANKS:
             report.add(f"UseReg1: {v} read from {after.get((p1, v))} at {p1}")
     for p1, p2, v in sets.use_addr:
         if after.get((p1, v)) not in (Bank.A, Bank.B):
             report.add(f"UseAddr: {v} addresses from {after.get((p1, v))}")
     for p1, p2, x, y in sets.arith:
         bx, by = after.get((p1, x)), after.get((p1, y))
-        if bx not in alu_in or by not in alu_in:
+        if bx not in ALU_INPUT_BANKS or by not in ALU_INPUT_BANKS:
             report.add(f"Arith: {x}/{y} in {bx}/{by} at {p1}")
         elif bx == by:
             report.add(f"Arith: both operands {x},{y} in {bx} at {p1}")
@@ -257,7 +260,7 @@ def check_solution(am, solution) -> SolutionReport:
     exists_by_point: dict[int, list[str]] = {}
     for p, v in live.exists:
         exists_by_point.setdefault(p, []).append(v)
-    capacities = {Bank.A: 15, Bank.B: 16, Bank.L: 8, Bank.S: 8, Bank.LD: 8, Bank.SD: 8}
+    capacities = {**K_CAPACITY, **dict.fromkeys(XFER_BANKS, XFER_SIZE)}
     for p, temps in exists_by_point.items():
         for table, name in ((before, "before"), (after, "after")):
             for bank, capacity in capacities.items():

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alloc.allocator import first_model_options
 from repro.alloc.decode import SPILL_BASE, place_inputs
 from repro.alloc.verify import check_solution
 from repro.cache import CompileCache, frontend_fingerprint, options_fingerprint
@@ -201,13 +200,16 @@ class _CompileShare:
     front: FrontEnd | None = None
     #: compilations usable as allocator bases, by front-end fingerprint
     bases: dict[str, Compilation] = field(default_factory=dict)
-    #: built AllocModels, by (front-end fp, model-options fp)
-    models: dict[tuple[str, str], object] = field(default_factory=dict)
+    #: built AllocModels, by (front-end fp, model-options fp, spilling)
+    models: dict[tuple[str, str, bool], object] = field(default_factory=dict)
 
 
-def _model_share_key(front_fp: str, model_options) -> tuple[str, str]:
-    """Key of a built AllocModel: the front end and its model options."""
-    return (front_fp, options_fingerprint(model_options))
+def _model_share_key(
+    front_fp: str, model_options, allow_spill: bool
+) -> tuple[str, str, bool]:
+    """Key of a built AllocModel: the front end, its model options and
+    whether it lets temps spill to M."""
+    return (front_fp, options_fingerprint(model_options), allow_spill)
 
 
 def _compile_shared(
@@ -229,7 +231,10 @@ def _compile_shared(
     if options.run_allocator and base is not None:
         prebuilt = None
         if shares_models:
-            key = _model_share_key(fp, first_model_options(options.alloc))
+            # a two-phase allocation builds the spill-free model first
+            key = _model_share_key(
+                fp, options.alloc.model, not options.alloc.two_phase
+            )
             prebuilt = share.models.get(key)
         comp = allocate_compilation(base, options, tracer, prebuilt=prebuilt)
     else:
@@ -239,7 +244,9 @@ def _compile_shared(
         share.bases.setdefault(fp, comp)
     if shares_models and comp.alloc is not None and comp.alloc.model is not None:
         model = comp.alloc.model
-        share.models.setdefault(_model_share_key(fp, model.options), model)
+        share.models.setdefault(
+            _model_share_key(fp, model.options, model.allow_spill), model
+        )
     return comp
 
 

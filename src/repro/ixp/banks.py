@@ -51,9 +51,6 @@ XFER_BANKS = (Bank.L, Bank.LD, Bank.S, Bank.SD)
 #: General banks participating in the ILP model (paper: GBank = {A, B, M}).
 GP_BANKS = (Bank.A, Bank.B, Bank.M)
 
-#: Banks a temporary can physically live in (no C unless remat is on).
-REAL_BANKS = (Bank.A, Bank.B, Bank.M, *XFER_BANKS)
-
 #: Number of registers per bank per thread context.  The ILP leaves one
 #: spare register in A for breaking parallel-copy cycles during
 #: optimistic coalescing (paper Section 6), hence the K constraint uses

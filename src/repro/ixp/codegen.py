@@ -23,16 +23,16 @@ generated Python source (``exec``-compiled) in which
 The generated slice function has the same contract as
 ``Machine._run_thread``: ``run(thread, clock) -> clock`` runs one thread
 until it blocks, yields, or halts, with *identical* observables — cycle
-counts, ``mem_stall_cycles`` accounting, ring/scratch port charging,
+counts, ``mem_stall_cycles`` accounting, memory port charging,
 per-opcode trace histograms, raised error type/message and the order
 errors are raised in.  The interpreter is the parity oracle
 (``tests/test_decode_parity.py`` pins interp = compiled).
 
 Resumption is an integer: ``thread.cpc`` names the label (a resume
 point) execution continues from on the next slice.  Labels exist at
-block entries, at ring/lock instructions (spin-retry re-executes them)
-and immediately after blocking instructions (memory references, ring
-ops, ``ctx_arb``).
+block entries, at ``lock`` instructions (a spin-retry re-executes them)
+and immediately after blocking instructions (memory references and
+``ctx_arb``).
 
 Statically-illegal instructions — including an instruction kind the
 generator does not know — compile to *raiser* segments that replay the
@@ -57,7 +57,6 @@ from repro.ixp import isa
 from repro.ixp.flowgraph import FlowGraph
 from repro.ixp.machine import (
     HASH_LATENCY,
-    RING_RETRY,
     WORD_MASK,
     _ALU_FNS,
     _CMP_FNS,
@@ -163,23 +162,19 @@ class _Codegen:
         #: dict lookup *and* are statically known defined, so their
         #: undefined-register handlers vanish.  Never needs mid-path
         #: invalidation: every emitter that writes ``rv`` outside
-        #: straight-line code (memory/ring resumes, interp delegation,
+        #: straight-line code (memory resumes, interp delegation,
         #: halt/restart) closes the segment.
         self.mirror: dict[str, str] = {}
         self.tmp = 0
-        #: memory spaces / rings referenced by name → bind-time cell
-        #: variable.  Cells hold the resolved object, or ``None`` when
-        #: the name is unknown at bind time — the use site then falls
-        #: back to the runtime lookup, preserving the interpreter's
-        #: "unknown memory space/ring" error at execution (not bind).
+        #: memory spaces referenced by name → bind-time cell variable.
+        #: Cells hold the resolved space, or ``None`` when the name is
+        #: unknown at bind time — the use site then falls back to the
+        #: runtime lookup, preserving the interpreter's "unknown memory
+        #: space" error at execution (not bind).
         self.space_cells: dict[str, str] = {}
-        self.ring_cells: dict[str, str] = {}
 
     def space_cell(self, name: str) -> str:
         return self.space_cells.setdefault(name, f"_sp{len(self.space_cells)}")
-
-    def ring_cell(self, name: str) -> str:
-        return self.ring_cells.setdefault(name, f"_rg{len(self.ring_cells)}")
 
     # -- low-level emission --------------------------------------------------
 
@@ -209,8 +204,8 @@ class _Codegen:
 
     def sync(self) -> None:
         """Flush ``icount`` *on the main path* before a call that can
-        raise from outside generated code (memory spaces, rings, the
-        input provider): the interpreter counts an instruction before
+        raise from outside generated code (memory spaces, the input
+        provider): the interpreter counts an instruction before
         executing it, so an escaping exception must see it counted."""
         if self.pending:
             self.w(f"icount += {self.pending}")
@@ -263,7 +258,7 @@ class _Codegen:
         self.cycles_pending = 0
 
     def exit_blocked(self, finish_expr: str, next_label: int) -> None:
-        """Slice exit for a completed memory/ring transfer."""
+        """Slice exit for a completed memory transfer."""
         self.clock_flush()
         self.flush_into()
         self.w(f"thread.cpc = {next_label}")
@@ -274,9 +269,9 @@ class _Codegen:
         self.open = False
 
     def exit_retry(self, self_label: int, wait: int) -> None:
-        """Slice exit for a spin-retry (full/empty ring, held lock):
-        the thread re-executes the same instruction ``wait`` cycles
-        after issue (cost 1 already charged via :meth:`tick`)."""
+        """Slice exit for a spin-retry on a held lock: the thread
+        re-executes the same instruction ``wait`` cycles after issue
+        (cost 1 already charged via :meth:`tick`)."""
         self.clock_flush()
         self.flush_into()
         self.w(f"thread.cpc = {self_label}")
@@ -567,34 +562,23 @@ class _Codegen:
         # ``_s.issue(clock + 1, n)`` (and, for reads, ``_s.read``)
         # inlined on the space's timing constants resolved to bind-time
         # cells: identical math, identical side-effect order, and the
-        # method's ``_check`` raises the identical error.  Spaces whose
-        # names have no timing entry got a ``None`` cell at bind time
-        # and take the method calls instead.
-        if n % 2:
-            align = f"{cell}_sd"
+        # method's ``_check`` raises the identical error.
+        self.w("_t = clock + 1")
+        self.w(f"_b = {cell}.busy_until")
+        self.w("if _t < _b:")
+        self.w("    _t = _b")
+        if n > 1:
+            self.w(f"_x = {cell}_pw * {n - 1}")
+            self.w(f"{cell}.busy_until = _t + {cell}_oc + _x")
+            self.w(f"_f = _t + {cell}_lt + _x")
         else:
-            align = f"{cell}_sd and ({addr_expr}) % 2"
+            self.w(f"{cell}.busy_until = _t + {cell}_oc")
+            self.w(f"_f = _t + {cell}_lt")
         if instr.direction == "read":
-            self.w(f"if {cell} is None:")
-            self.ind += 1
-            self.w(f"_f = _s.issue(clock + 1, {n})")
-            self.w(f"_vals = _s.read({addr_expr}, {n})")
-            for i, kc in enumerate(kcs):
-                self.w(f"rv[{kc}] = _vals[{i}]")
-            self.ind -= 1
-            self.w("else:")
-            self.ind += 1
-            self.w("_t = clock + 1")
-            self.w(f"_b = {cell}.busy_until")
-            self.w("if _t < _b:")
-            self.w("    _t = _b")
-            if n > 1:
-                self.w(f"_x = {cell}_pw * {n - 1}")
-                self.w(f"{cell}.busy_until = _t + {cell}_oc + _x")
-                self.w(f"_f = _t + {cell}_lt + _x")
+            if n % 2:
+                align = f"{cell}_sd"
             else:
-                self.w(f"{cell}.busy_until = _t + {cell}_oc")
-                self.w(f"_f = _t + {cell}_lt")
+                align = f"{cell}_sd and ({addr_expr}) % 2"
             self.w(
                 f"if ({addr_expr}) < 0 or ({addr_expr}) + {n} > {cell}_sz"
                 f" or ({align}):"
@@ -604,26 +588,7 @@ class _Codegen:
             for i, kc in enumerate(kcs):
                 off = addr_expr if i == 0 else f"({addr_expr}) + {i}"
                 self.w(f"rv[{kc}] = {cell}_wg({off}, 0)")
-            self.ind -= 1
         else:
-            self.w(f"if {cell} is None:")
-            self.ind += 1
-            self.w(f"_f = _s.issue(clock + 1, {n})")
-            self.ind -= 1
-            self.w("else:")
-            self.ind += 1
-            self.w("_t = clock + 1")
-            self.w(f"_b = {cell}.busy_until")
-            self.w("if _t < _b:")
-            self.w("    _t = _b")
-            if n > 1:
-                self.w(f"_x = {cell}_pw * {n - 1}")
-                self.w(f"{cell}.busy_until = _t + {cell}_oc + _x")
-                self.w(f"_f = _t + {cell}_lt + _x")
-            else:
-                self.w(f"{cell}.busy_until = _t + {cell}_oc")
-                self.w(f"_f = _t + {cell}_lt")
-            self.ind -= 1
             parts = []
             fallible = False
             for kc in kcs:
@@ -678,57 +643,6 @@ class _Codegen:
         self.flush_into("    ")
         self.w(f"    {_MAX_RAISE}")
         self.exit_blocked("blocked", next_label)
-
-    def gen_ring(self, instr: isa.RingOp, self_label: int,
-                 next_label: int) -> None:
-        if instr.kind == "enq":
-            try:
-                src = _read_spec(instr.reg, self.physical)
-            except SimulatorError as exc:
-                return self.gen_raiser(exc, ())
-            self.instr_start()
-            self.sync()
-            self.clock_sync()
-            self.w(f"_r = {self.ring_cell(instr.ring)}")
-            self.w("if _r is None:")
-            self.w(f"    _r = memory.ring({instr.ring!r})")
-            if src[0] == "imm":
-                self.w(f"_f = _r.try_enqueue(clock + 1, {src[1]!r})")
-            else:
-                skc, smc = self.const(src[1], "k"), self.const(src[2], "m")
-                se, sh = self.reg_expr(skc, smc)
-                if sh is None:
-                    self.w(f"_f = _r.try_enqueue(clock + 1, {se})")
-                else:
-                    self._reg_read_try("_v", se, [sh])
-                    self.w("_f = _r.try_enqueue(clock + 1, _v)")
-        else:
-            try:
-                dk = _intern_key(instr.reg, self.physical)
-            except SimulatorError as exc:
-                return self.gen_raiser(exc, ())
-            self.instr_start()
-            self.sync()
-            self.clock_sync()
-            self.w(f"_r = {self.ring_cell(instr.ring)}")
-            self.w("if _r is None:")
-            self.w(f"    _r = memory.ring({instr.ring!r})")
-            self.w("_p = _r.try_dequeue(clock + 1)")
-        self.hist(instr, 1)
-        self.tick(1)
-        if instr.kind == "enq":
-            self.w("if _f is None:")
-            self.ind += 1
-            self.exit_retry(self_label, RING_RETRY)
-            self.ind -= 1
-            self.exit_blocked("_f", next_label)
-        else:
-            self.w("if _p is None:")
-            self.ind += 1
-            self.exit_retry(self_label, RING_RETRY)
-            self.ind -= 1
-            self.w(f"rv[{self.const(dk, 'k')}] = _p[0]")
-            self.exit_blocked("_p[1]", next_label)
 
     def gen_hash(self, instr: isa.HashInstr) -> None:
         try:
@@ -977,8 +891,6 @@ class _Codegen:
             self.gen_immed(instr)
         elif isinstance(instr, isa.MemOp):
             self.gen_mem(instr, nxt)
-        elif isinstance(instr, isa.RingOp):
-            self.gen_ring(instr, self.labels[(block, index)], nxt)
         elif isinstance(instr, isa.HashInstr):
             self.gen_hash(instr)
         elif isinstance(instr, isa.CsrRd):
@@ -1012,9 +924,9 @@ class _Codegen:
             instrs = graph.blocks[label].instrs
             positions = {0}
             for i, instr in enumerate(instrs):
-                if isinstance(instr, (isa.RingOp, isa.LockInstr)):
+                if isinstance(instr, isa.LockInstr):
                     positions.add(i)  # spin-retry re-executes in place
-                if isinstance(instr, (isa.MemOp, isa.RingOp, isa.CtxArb)):
+                if isinstance(instr, (isa.MemOp, isa.CtxArb)):
                     positions.add(i + 1)  # resume after the block/yield
             starts = [i for i in sorted(positions) if i < len(instrs)]
             self.label_starts[label] = starts
@@ -1042,7 +954,7 @@ class _Codegen:
             self.gen_instr(block, index, instrs[index])
             if not self.open:
                 return
-        # Fell through onto a labelled instruction (ring/lock spin
+        # Fell through onto a labelled instruction (a lock's spin
         # target): continue there.
         self.follow(block, end)
 
@@ -1102,7 +1014,7 @@ class _Codegen:
         # per-thread state.  Every frozen attribute is assigned exactly
         # once in Machine.__init__ and mutated in place afterwards.
         prologue = ["    max_cycles = machine.max_cycles"]
-        if uses & {"MemOp", "RingOp"}:
+        if "MemOp" in uses:
             prologue.append("    memory = machine.memory")
         if "LockInstr" in uses:
             prologue.append("    locks = machine.locks")
@@ -1114,10 +1026,7 @@ class _Codegen:
             prologue.append("    hist = machine._opcode_hist")
         for name, var in self.space_cells.items():
             prologue.append(f"    {var} = memory.spaces.get({name!r})")
-            prologue.append(
-                f"    if {var} is not None and {var}._occupancy is not None"
-                f" and {var}._latency is not None:"
-            )
+            prologue.append(f"    if {var} is not None:")
             prologue.append(
                 f"        {var}_oc = {var}._occupancy;"
                 f" {var}_lt = {var}._latency;"
@@ -1126,14 +1035,6 @@ class _Codegen:
                 f" {var}_sd = {var}._is_sdram;"
                 f" {var}_wg = {var}.words.get"
             )
-            prologue.append("    else:")
-            prologue.append(
-                f"        {var} = None;"
-                f" {var}_oc = {var}_lt = {var}_pw = {var}_sz = 0;"
-                f" {var}_sd = False; {var}_wg = None"
-            )
-        for name, var in self.ring_cells.items():
-            prologue.append(f"    {var} = memory.rings.get({name!r})")
         lines = ["def _bind_slice(machine):", *prologue]
         lines.append("    def _run_slice(thread, clock):")
         lines.append("        rv = thread.rv")

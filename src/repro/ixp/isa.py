@@ -250,41 +250,6 @@ class MemOp(Instr):
 
 
 @dataclass
-class RingOp(Instr):
-    """Bounded-ring access (``repro.ixp.memory.ScratchRing``).
-
-    ``enq`` pushes ``reg`` (a register or an inline immediate) onto the
-    named ring; ``deq`` pops the oldest entry into ``reg``.  Both are
-    single-word transfers through the ring's backing space port (issue
-    1 cycle, then the thread sleeps until the data moves); a full ring
-    (``enq``) or empty ring (``deq``) makes the thread spin-retry the
-    instruction — the backpressure primitive of the streaming runtime.
-    """
-
-    kind: str  # 'enq' | 'deq'
-    ring: str  # ring name registered on the MemorySystem
-    reg: Reg | Imm
-
-    def defs(self) -> list[Reg]:
-        if self.kind == "deq" and not isinstance(self.reg, Imm):
-            return [self.reg]
-        return []
-
-    def uses(self) -> list[Reg]:
-        if self.kind == "enq" and not isinstance(self.reg, Imm):
-            return [self.reg]
-        return []
-
-    def map_regs(self, f) -> "RingOp":
-        return RingOp(self.kind, self.ring, _map_op(f, self.reg))
-
-    def __str__(self) -> str:
-        if self.kind == "enq":
-            return f"ring[{self.ring}] <- {self.reg}"
-        return f"{self.reg} = ring[{self.ring}]"
-
-
-@dataclass
 class HashInstr(Instr):
     """Hash unit: dst (in L) and src (in S) share one register number."""
 

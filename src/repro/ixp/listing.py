@@ -96,10 +96,6 @@ def render_instr(instr: isa.Instr) -> str:
             f"{instr.space}[{instr.direction}, {first}, "
             f"{operand(instr.addr)}, 0, {len(instr.regs)}], ctx_swap"
         )
-    if isinstance(instr, isa.RingOp):
-        if instr.kind == "enq":
-            return f"scratch[put_ring, {operand(instr.reg)}, {instr.ring}], ctx_swap"
-        return f"scratch[get_ring, {operand(instr.reg)}, {instr.ring}], ctx_swap"
     if isinstance(instr, isa.HashInstr):
         return f"hash1_48[{operand(instr.src)}], ctx_swap"
     if isinstance(instr, isa.CsrRd):

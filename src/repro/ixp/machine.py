@@ -66,9 +66,6 @@ from repro.trace import ensure
 WORD_MASK = 0xFFFFFFFF
 HASH_LATENCY = 10
 CLOCK_MHZ = 233  # IXP1200 in the paper (Section 11)
-#: Cycles a thread sleeps before retrying a full-ring enqueue / empty-ring
-#: dequeue (same cadence as the lock-bit spin).
-RING_RETRY = 4
 
 #: The two simulator tiers, oracle first.  Both are observationally
 #: identical (cycles, stalls, memory images, errors);
@@ -590,8 +587,6 @@ class Machine:
             return 1 if 0 <= instr.value < (1 << 16) else 2, None
         if isinstance(instr, isa.MemOp):
             return self._execute_mem(thread, instr, clock)
-        if isinstance(instr, isa.RingOp):
-            return self._execute_ring(thread, instr, clock)
         if isinstance(instr, isa.HashInstr):
             src_bank, dst_bank = _bank_of(instr.src), _bank_of(instr.dst)
             if src_bank is not None:
@@ -668,42 +663,6 @@ class Machine:
         self._advance(thread)
         return 1, None
 
-    def _execute_ring(
-        self, thread: _Thread, instr: isa.RingOp, clock: int
-    ) -> tuple[int, int | None]:
-        regs = thread.regs
-        # Static operand faults come before the ring lookup and before
-        # any side effect — the compiled tier raises them from segments
-        # it generates for them.
-        key = None
-        if not isinstance(instr.reg, isa.Imm):
-            key = regs.key(instr.reg)
-        elif instr.kind == "deq":
-            regs.key(instr.reg)  # immediates cannot receive a dequeue
-        ring = self.memory.ring(instr.ring)
-        if instr.kind == "enq":
-            if key is None:
-                value = instr.reg.value
-            elif key in regs.values:
-                value = regs.values[key]
-            else:
-                raise SimulatorError(
-                    f"read of undefined register {instr.reg}"
-                )
-            finish = ring.try_enqueue(clock + 1, value)
-            if finish is None:
-                # Full: spin — thread.index stays here for the retry.
-                return 1, clock + RING_RETRY
-            self._advance(thread)
-            return 1, finish
-        popped = ring.try_dequeue(clock + 1)
-        if popped is None:
-            return 1, clock + RING_RETRY
-        value, finish = popped
-        regs.values[key] = value
-        self._advance(thread)
-        return 1, finish
-
     def _execute_mem(
         self, thread: _Thread, instr: isa.MemOp, clock: int
     ) -> tuple[int, int | None]:
@@ -740,8 +699,6 @@ def _opcode_of(instr: isa.Instr) -> str:
         return f"{instr.space}.{instr.direction}"
     if isinstance(instr, isa.LockInstr):
         return f"lock.{instr.kind}"
-    if isinstance(instr, isa.RingOp):
-        return f"ring.{instr.kind}"
     return {
         isa.Move: "move",
         isa.Clone: "clone",

@@ -60,20 +60,24 @@ class MemorySpace:
     reads: int = 0
     writes: int = 0
     #: timing constants resolved once in ``__post_init__``.
-    _latency: int | None = field(init=False, repr=False, compare=False, default=None)
-    _per_word: int = field(init=False, repr=False, compare=False, default=1)
-    _occupancy: int | None = field(init=False, repr=False, compare=False, default=None)
+    _latency: int = field(init=False, repr=False, compare=False, default=0)
+    _per_word: int = field(init=False, repr=False, compare=False, default=0)
+    _occupancy: int = field(init=False, repr=False, compare=False, default=0)
     _is_sdram: bool = field(init=False, repr=False, compare=False, default=False)
 
     def __post_init__(self) -> None:
         # read()/issue() run once per simulated memory reference — the
         # hottest calls shared by every simulator tier — so the per-space
         # timing constants are resolved once here instead of through
-        # name-keyed dict lookups per access.  Unknown space names keep
-        # working (custom test spaces): they just take the slow path.
-        self._latency = LATENCY.get(self.name)
-        self._per_word = PER_WORD.get(self.name, 1)
-        self._occupancy = OCCUPANCY.get(self.name)
+        # name-keyed dict lookups per access.
+        if self.name not in LATENCY:
+            raise SimulatorError(
+                f"memory space '{self.name}' has no timing entry "
+                f"(known: {', '.join(LATENCY)})"
+            )
+        self._latency = LATENCY[self.name]
+        self._per_word = PER_WORD[self.name]
+        self._occupancy = OCCUPANCY[self.name]
         self._is_sdram = self.name == "sdram"
 
     def _check(self, addr: int, count: int) -> None:
@@ -114,10 +118,7 @@ class MemorySpace:
             words[addr + i] = value & WORD_MASK
 
     def transfer_time(self, count: int) -> int:
-        latency = self._latency
-        if latency is None:
-            latency = LATENCY[self.name]
-        return latency + self._per_word * max(0, count - 1)
+        return self._latency + self._per_word * max(0, count - 1)
 
     def issue(self, now: int, count: int) -> int:
         """Queue one transfer; returns its completion time.
@@ -130,14 +131,9 @@ class MemorySpace:
         """
         busy = self.busy_until
         start = now if now >= busy else busy
-        occupancy = self._occupancy
-        latency = self._latency
-        if occupancy is None or latency is None:
-            occupancy = OCCUPANCY[self.name]
-            latency = LATENCY[self.name]
         extra = self._per_word * (count - 1) if count > 1 else 0
-        self.busy_until = start + occupancy + extra
-        return start + latency + extra
+        self.busy_until = start + self._occupancy + extra
+        return start + self._latency + extra
 
     def load_words(self, addr: int, values: list[int]) -> None:
         """Back-door initialization (no cycle cost, no alignment checks)."""
@@ -165,16 +161,17 @@ class ScratchRing:
     ``base+2+i``  data slot ``i`` (``0 <= i < capacity``)
     ==========  =======================================
 
-    so ring state is part of the ordinary memory image (goldens and
-    parity tests compare it word for word).  Every enqueue/dequeue is
+    so ring state is part of the ordinary memory image (the stream
+    goldens' memory digests cover it).  Every enqueue/dequeue is
     one single-word transfer through the backing space's service port
     (:meth:`MemorySpace.issue`), so ring traffic contends with ordinary
     scratch accesses exactly like any other reference.
 
     ``try_enqueue``/``try_dequeue`` never block: a full/empty ring
     returns ``None`` and the *caller* decides between dropping (tail
-    drop at the receive unit) and retrying (a worker spinning — the
-    simulator's ``ring.enq``/``ring.deq`` instructions do this).
+    drop at the receive unit) and retrying (a worker re-polling).  The
+    streaming runtime (:class:`repro.ixp.net.NetRuntime`) builds and
+    drives every ring; no instruction reaches one.
     """
 
     name: str
@@ -252,59 +249,8 @@ class ScratchRing:
 
 
 @dataclass
-class RingGroup:
-    """A bank of same-capacity rings laid out contiguously in one space.
-
-    The whole-chip streaming topology gives every micro-engine its own
-    RX ring (the dispatch stage steers packets by flow hash); this
-    groups the per-engine rings behind one handle with aggregate
-    accounting, while each member stays an ordinary named
-    :class:`ScratchRing` (``<name>0``, ``<name>1``, …) addressable by
-    the ``ring.enq``/``ring.deq`` instructions and visible in the
-    memory image like any other ring.
-    """
-
-    name: str
-    rings: list[ScratchRing]
-
-    def __len__(self) -> int:
-        return len(self.rings)
-
-    def __iter__(self):
-        return iter(self.rings)
-
-    def __getitem__(self, index: int) -> ScratchRing:
-        return self.rings[index]
-
-    @property
-    def capacity(self) -> int:
-        return self.rings[0].capacity if self.rings else 0
-
-    @property
-    def high_water(self) -> int:
-        """Deepest occupancy any member ring ever reached."""
-        return max((ring.high_water for ring in self.rings), default=0)
-
-    def high_waters(self) -> list[int]:
-        return [ring.high_water for ring in self.rings]
-
-    def depths(self) -> list[int]:
-        return [ring.depth() for ring in self.rings]
-
-    @property
-    def enqueues(self) -> int:
-        return sum(ring.enqueues for ring in self.rings)
-
-    @property
-    def dequeues(self) -> int:
-        return sum(ring.dequeues for ring in self.rings)
-
-
-@dataclass
 class MemorySystem:
     spaces: dict[str, MemorySpace]
-    #: named ring queues layered over reserved regions of the spaces.
-    rings: dict[str, ScratchRing] = field(default_factory=dict)
 
     @staticmethod
     def create(sizes: dict[str, int] | None = None) -> "MemorySystem":
@@ -324,40 +270,3 @@ class MemorySystem:
         for space, chunks in image.items():
             for addr, words in chunks:
                 self[space].load_words(addr, words)
-
-    def add_ring(
-        self, name: str, base: int, capacity: int, space: str = "scratch"
-    ) -> ScratchRing:
-        """Reserve a ring region; ``name`` is the handle ring ops use."""
-        if name in self.rings:
-            raise SimulatorError(f"ring '{name}' already exists")
-        ring = ScratchRing(name, self[space], base, capacity)
-        self.rings[name] = ring
-        return ring
-
-    def add_ring_group(
-        self,
-        name: str,
-        base: int,
-        capacity: int,
-        count: int,
-        space: str = "scratch",
-    ) -> RingGroup:
-        """Reserve ``count`` rings of ``capacity`` laid out back to back
-        from ``base``; member ``i`` registers as ring ``f"{name}{i}"``."""
-        if count <= 0:
-            raise SimulatorError(f"ring group '{name}': count must be > 0")
-        stride = 2 + capacity
-        return RingGroup(
-            name,
-            [
-                self.add_ring(f"{name}{i}", base + i * stride, capacity, space)
-                for i in range(count)
-            ],
-        )
-
-    def ring(self, name: str) -> ScratchRing:
-        try:
-            return self.rings[name]
-        except KeyError:
-            raise SimulatorError(f"unknown ring '{name}'") from None

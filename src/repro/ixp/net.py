@@ -49,9 +49,8 @@ the scheduling layer: a thread that finishes a packet (halt) enqueues
 its descriptor on the TX ring and dequeues the next from its engine's
 RX ring, paying the ring's scratch-port costs; an empty RX or full TX
 re-polls every ``poll`` cycles.  This is the receive/transmit
-scheduler glue the paper says ships with every application —
-hand-written ring code can use the ``ring.enq`` / ``ring.deq``
-instructions directly (see ``docs/NETWORKING.md``).
+scheduler glue the paper says ships with every application; it is the
+only code that touches the rings (no instruction does).
 
 Whole-chip scale-out: :func:`run_sharded` runs N independent chips
 (each a full 6x4 :class:`NetRuntime`) over the :mod:`repro.batch`
@@ -71,7 +70,7 @@ from typing import Callable
 
 from repro.errors import SimulatorError
 from repro.ixp.machine import CLOCK_MHZ, SIM_MODES, Machine, hash48
-from repro.ixp.memory import MemorySystem
+from repro.ixp.memory import MemorySystem, ScratchRing
 from repro.trace import Tracer, ensure, log2_bound, nearest_rank
 
 #: event kinds on the global heap (tie-broken by sequence number).
@@ -691,12 +690,16 @@ class NetRuntime:
         # ring, then one private RX ring per engine ("rx0".."rxN-1").
         scratch = self.memory["scratch"]
         tx_base = scratch.size - (2 + config.tx_capacity)
-        rx_base = tx_base - config.engines * (2 + config.rx_capacity)
+        rx_stride = 2 + config.rx_capacity
+        rx_base = tx_base - config.engines * rx_stride
         self._check_ring_layout(rx_base, scratch.size)
-        self.rx = self.memory.add_ring_group(
-            "rx", rx_base, config.rx_capacity, config.engines
-        )
-        self.tx = self.memory.add_ring("tx", tx_base, config.tx_capacity)
+        self.rx = [
+            ScratchRing(
+                f"rx{i}", scratch, rx_base + i * rx_stride, config.rx_capacity
+            )
+            for i in range(config.engines)
+        ]
+        self.tx = ScratchRing("tx", scratch, tx_base, config.tx_capacity)
 
         physical = self.comp.alloc is not None
         graph = self.comp.physical if physical else self.comp.flowgraph
@@ -1181,6 +1184,7 @@ class NetRuntime:
             )
             assert self.generated == self.completed + self.dropped + inflight
             assert inflight == 0 or self.truncated
+            rx_high_waters = [ring.high_water for ring in self.rx]
             result = StreamResult(
                 app=self.app.name,
                 config=config,
@@ -1191,7 +1195,7 @@ class NetRuntime:
                 cycles=self.end_cycle,
                 latencies=self.latencies,
                 payload_bits=self.payload_bits,
-                rx_high_water=self.rx.high_water,
+                rx_high_water=max(rx_high_waters),
                 tx_high_water=self.tx.high_water,
                 engine_cycles=list(self.engine_clock),
                 engine_instructions=[
@@ -1200,7 +1204,7 @@ class NetRuntime:
                 ],
                 inflight=inflight,
                 truncated=self.truncated,
-                rx_high_waters=self.rx.high_waters(),
+                rx_high_waters=rx_high_waters,
                 rx_drops=list(self.rx_drops),
                 steered=list(self.steered),
                 packets=self.packets,

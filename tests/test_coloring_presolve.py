@@ -16,8 +16,7 @@ import pytest
 import scipy.optimize
 
 from repro.alloc import ilpmodel
-from repro.alloc.allocator import AllocOptions, first_model_options
-from repro.alloc.ilpmodel import ModelOptions, build_model
+from repro.alloc.ilpmodel import build_model
 from repro.alloc.verify import check_equivalence, check_solution
 from repro.apps import build_nat_app
 from repro.compiler import CompileOptions, compile_nova
@@ -133,9 +132,7 @@ def _colors_span(tracer):
 def test_fixed_coloring_leaves_the_coloring_families_out():
     comp = compile_virtual(PROGRAMS["xfer_pressure"])
     tracer = Tracer()
-    am = build_model(
-        comp.flowgraph, first_model_options(AllocOptions()), tracer
-    )
+    am = build_model(comp.flowgraph, tracer=tracer, allow_spill=False)
     assert am.fixed_colors
     assert _colors_span(tracer)["fixed"] == 1
     assert not {"Color", "BothIn", "colorAvail", "needsSpill"} & set(
@@ -145,7 +142,7 @@ def test_fixed_coloring_leaves_the_coloring_families_out():
 
 def test_nat_keeps_coloring_in_the_ilp():
     comp = compile_virtual(build_nat_app().source)
-    am = build_model(comp.flowgraph, first_model_options(AllocOptions()))
+    am = build_model(comp.flowgraph, allow_spill=False)
     assert am.fixed_colors is None
     assert len(am.model.families["Color"]) > 0
 
@@ -161,7 +158,7 @@ def test_pigeonhole_rejects_without_a_presolve(monkeypatch):
     for allow_spill in (False, True):
         tracer = Tracer()
         am = build_model(
-            comp.flowgraph, ModelOptions(allow_spill=allow_spill), tracer
+            comp.flowgraph, tracer=tracer, allow_spill=allow_spill
         )
         assert _colors_span(tracer) == {
             "fixed": 0,

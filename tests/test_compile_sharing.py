@@ -107,9 +107,9 @@ class TestModelSharing:
         built = []
         real = allocator_mod.build_model
 
-        def counting(graph, options=None, tracer=None):
-            built.append(options.allow_spill)
-            return real(graph, options, tracer)
+        def counting(graph, options=None, tracer=None, allow_spill=True):
+            built.append(allow_spill)
+            return real(graph, options, tracer, allow_spill)
 
         monkeypatch.setattr(allocator_mod, "build_model", counting)
         program = generate(3, GenConfig())

@@ -24,6 +24,7 @@ from repro.ixp.machine import Machine
 from repro.trace import Tracer
 
 from tests.helpers import compile_full, compile_virtual, make_memory
+from tests.test_fifo_locks import critical_section_graph
 from tests.programs import CASES
 from tests.test_reproducers import CASES as REPRO_CASES, REPRODUCERS
 
@@ -183,230 +184,32 @@ def test_error_message_parity():
     assert "two operands from bank A" in messages["interp"][1]
 
 
-# -- ring enqueue/dequeue parity -------------------------------------------
+# -- spin-retry parity ------------------------------------------------------
 #
-# Ring ops have the richest blocking behaviour in the ISA (spin-retry on
-# full/empty, port contention on success), so parity is checked on
-# hand-built physical graphs under multi-thread contention: cycles,
-# stalls, halt values, the ring's control words and slots (part of the
-# scratch image), and queue contents must be bit-identical across paths.
-
-from repro.ixp.memory import MemorySystem
+# ``lock`` is the one instruction that re-executes in place: a thread
+# finding the bit held yields and retries it a few cycles later.  The
+# spin cycles are part of the cycle-exact contract, so the tiers are
+# compared under contention: four threads run five critical sections
+# each through one lock bit.
 
 
-def _ring_memory(prefill=(), capacity=4):
-    memory = MemorySystem.create()
-    memory.add_ring("work", 0, capacity)
-    memory.add_ring("out", 32, capacity)
-    for i, value in enumerate(prefill):
-        memory.ring("work").try_enqueue(0, value)
-    return memory
-
-
-def _run_ring_graph(graph, memory, threads, mode, provider=None):
-    machine = Machine(
-        graph,
-        memory=memory,
-        threads=threads,
-        physical=True,
-        input_provider=provider,
-        max_cycles=100_000,
-        mode=mode,
-    )
-    try:
-        run = machine.run()
-    except SimulatorError as exc:
-        return {
-            "error": (type(exc).__name__, str(exc)),
-            "memory": _snapshot(memory),
-        }
-    return {
-        "run": dataclasses.asdict(run),
-        "memory": _snapshot(memory),
-        "work": memory.ring("work").snapshot(),
-        "out": memory.ring("out").snapshot(),
-        "hwm": (memory.ring("work").high_water, memory.ring("out").high_water),
-    }
-
-
-def _assert_ring_parity(make_graph, threads, prefill=(), capacity=4,
-                        provider=None):
+def test_lock_spin_parity_under_contention():
     observed = {}
     for mode in MODES:
-        observed[mode] = _run_ring_graph(
-            make_graph(), _ring_memory(prefill, capacity), threads, mode,
-            provider,
+        machine = Machine(
+            critical_section_graph(),
+            threads=4,
+            physical=False,
+            input_provider=lambda tid, it: {} if it < 5 else None,
+            mode=mode,
+        )
+        run = machine.run()
+        observed[mode] = (
+            dataclasses.asdict(run),
+            machine.memory["scratch"].dump_words(100, 1),
         )
     assert observed["compiled"] == observed["interp"]
-    return observed["interp"]
-
-
-def _a(i):
-    return isa.PhysReg(Bank.A, i)
-
-
-def test_ring_pull_transform_push_parity_under_contention():
-    """4 threads each pull one word from a prefilled 'work' ring,
-    transform it, and push to 'out': threads contend for both rings and
-    for the scratch port; every observable must agree across paths."""
-
-    def graph():
-        return FlowGraph(
-            "entry",
-            {
-                "entry": Block(
-                    "entry",
-                    [
-                        isa.RingOp("deq", "work", _a(0)),
-                        isa.Alu(_a(1), "add", _a(0), isa.Imm(100)),
-                        isa.RingOp("enq", "out", _a(1)),
-                        isa.HaltInstr((_a(0),)),
-                    ],
-                )
-            },
-            (),
-        )
-
-    observed = _assert_ring_parity(graph, threads=4, prefill=(7, 8, 9, 10))
-    halts = sorted(v[0] for _, v in observed["run"]["results"])
-    assert halts == [7, 8, 9, 10]
-    assert observed["work"] == []
-    assert sorted(observed["out"]) == [107, 108, 109, 110]
-
-
-def test_ring_full_backpressure_parity():
-    """A producer thread overruns a capacity-2 ring and must spin until
-    the consumer thread drains an entry; the spin-retry cycles are part
-    of the cycle-exact contract."""
-
-    def graph():
-        return FlowGraph(
-            "entry",
-            {
-                "entry": Block(
-                    "entry",
-                    [
-                        isa.BrCmp("eq", _a(7), isa.Imm(0), "producer",
-                                  "consumer"),
-                    ],
-                ),
-                "producer": Block(
-                    "producer",
-                    [
-                        isa.RingOp("enq", "work", isa.Imm(1)),
-                        isa.RingOp("enq", "work", isa.Imm(2)),
-                        isa.RingOp("enq", "work", isa.Imm(3)),  # ring full
-                        isa.HaltInstr((isa.Imm(0),)),
-                    ],
-                ),
-                "consumer": Block(
-                    "consumer",
-                    [
-                        # burn time on a memory read so the producer
-                        # reaches the full ring first
-                        isa.Immed(_a(2), 64),
-                        isa.MemOp("sram", "read", _a(2), (isa.PhysReg(Bank.L, 0),)),
-                        isa.MemOp("sram", "read", _a(2), (isa.PhysReg(Bank.L, 0),)),
-                        isa.RingOp("deq", "work", _a(3)),
-                        isa.HaltInstr((_a(3),)),
-                    ],
-                ),
-            },
-            (),
-        )
-
-    observed = _assert_ring_parity(
-        graph,
-        threads=2,
-        capacity=2,
-        provider=lambda tid, it: {(Bank.A, 7): tid} if it == 0 else None,
-    )
-    results = dict(
-        (tid, values) for tid, values in observed["run"]["results"]
-    )
-    assert results[1] == (1,), "consumer must pop the oldest entry"
-    assert observed["work"] == [2, 3], "producer's third word got through"
-    assert observed["hwm"][0] == 2
-
-
-def test_ring_empty_spin_parity():
-    """A consumer on an empty ring spins until the producer delivers."""
-
-    def graph():
-        return FlowGraph(
-            "entry",
-            {
-                "entry": Block(
-                    "entry",
-                    [isa.BrCmp("eq", _a(7), isa.Imm(0), "producer",
-                               "consumer")],
-                ),
-                "producer": Block(
-                    "producer",
-                    [
-                        isa.Immed(_a(2), 64),
-                        isa.MemOp("sram", "read", _a(2), (isa.PhysReg(Bank.L, 0),)),
-                        isa.RingOp("enq", "work", isa.Imm(42)),
-                        isa.HaltInstr((isa.Imm(0),)),
-                    ],
-                ),
-                "consumer": Block(
-                    "consumer",
-                    [
-                        isa.RingOp("deq", "work", _a(3)),
-                        isa.HaltInstr((_a(3),)),
-                    ],
-                ),
-            },
-            (),
-        )
-
-    observed = _assert_ring_parity(
-        graph,
-        threads=2,
-        provider=lambda tid, it: {(Bank.A, 7): tid} if it == 0 else None,
-    )
-    results = dict(observed["run"]["results"])
-    assert results[1] == (42,)
-    assert observed["work"] == []
-
-
-def test_ring_error_parity_unknown_ring_and_bad_operand():
-    def unknown():
-        return FlowGraph(
-            "entry",
-            {
-                "entry": Block(
-                    "entry",
-                    [isa.RingOp("enq", "missing", isa.Imm(1)),
-                     isa.HaltInstr(())],
-                )
-            },
-            (),
-        )
-
-    def imm_dst():
-        return FlowGraph(
-            "entry",
-            {
-                "entry": Block(
-                    "entry",
-                    [isa.RingOp("deq", "work", isa.Imm(1)),
-                     isa.HaltInstr(())],
-                )
-            },
-            (),
-        )
-
-    for make_graph in (unknown, imm_dst):
-        messages = {}
-        for mode in MODES:
-            out = _run_ring_graph(
-                make_graph(), _ring_memory(), 1, mode
-            )
-            assert "error" in out
-            messages[mode] = out["error"]
-        assert messages["compiled"] == messages["interp"]
+    assert observed["interp"][1] == [20]
 
 
 def test_unreached_illegal_instruction_does_not_trap_at_decode():

@@ -93,22 +93,23 @@ class TestLockLanguage:
             run_main(comp, x=1)
 
 
-class TestLockContention:
-    def make_critical_section_graph(self):
-        """Each thread: lock 0; read counter; add 1; write back; unlock."""
-        instrs = [
-            isa.LockInstr("lock", 0),
-            isa.Immed(T("addr"), 100),
-            isa.MemOp("scratch", "read", T("addr"), (T("v"),)),
-            isa.Alu(T("v2"), "add", T("v"), isa.Imm(1)),
-            isa.MemOp("scratch", "write", T("addr"), (T("v2"),)),
-            isa.LockInstr("unlock", 0),
-            isa.HaltInstr(()),
-        ]
-        return FlowGraph("entry", {"entry": Block("entry", instrs)})
+def critical_section_graph():
+    """Each thread: lock 0; read counter; add 1; write back; unlock."""
+    instrs = [
+        isa.LockInstr("lock", 0),
+        isa.Immed(T("addr"), 100),
+        isa.MemOp("scratch", "read", T("addr"), (T("v"),)),
+        isa.Alu(T("v2"), "add", T("v"), isa.Imm(1)),
+        isa.MemOp("scratch", "write", T("addr"), (T("v2"),)),
+        isa.LockInstr("unlock", 0),
+        isa.HaltInstr(()),
+    ]
+    return FlowGraph("entry", {"entry": Block("entry", instrs)})
 
+
+class TestLockContention:
     def test_counter_with_lock_is_exact(self):
-        graph = self.make_critical_section_graph()
+        graph = critical_section_graph()
         machine = Machine(
             graph,
             threads=4,
@@ -123,7 +124,7 @@ class TestLockContention:
         """Dropping the lock loses increments (read-modify-write race
         across the memory latency) — evidence the lock actually
         serializes."""
-        graph = self.make_critical_section_graph()
+        graph = critical_section_graph()
         for block in graph.blocks.values():
             block.instrs = [
                 i for i in block.instrs if not isinstance(i, isa.LockInstr)
@@ -138,7 +139,7 @@ class TestLockContention:
         assert machine.memory["scratch"].dump_words(100, 1) != [20]
 
     def test_lock_holder_blocks_others(self):
-        graph = self.make_critical_section_graph()
+        graph = critical_section_graph()
         machine = Machine(
             graph,
             threads=2,

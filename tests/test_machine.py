@@ -318,6 +318,10 @@ class TestMemorySystem:
         with pytest.raises(SimulatorError, match="unknown memory space"):
             memory["tcam"]
 
+    def test_space_without_timing_rejected(self):
+        with pytest.raises(SimulatorError, match="no timing entry"):
+            MemorySystem.create({"tcam": 16})
+
     def test_uninitialized_reads_zero(self):
         memory = MemorySystem.create()
         assert memory["sram"].read(5, 2) == [0, 0]

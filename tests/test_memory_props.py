@@ -19,6 +19,7 @@ from repro.ixp.memory import (
     PER_WORD,
     MemorySpace,
     MemorySystem,
+    ScratchRing,
     WORD_MASK,
 )
 
@@ -145,9 +146,8 @@ ring_ops = st.lists(
 def test_ring_is_a_bounded_fifo(capacity, ops):
     """Model check against a plain list: FIFO order, bounded depth,
     control words mirrored into the backing space, correct high-water."""
-    memory = MemorySystem.create({"scratch": 64})
-    ring = memory.add_ring("r", 0, capacity)
-    scratch = memory["scratch"]
+    scratch = MemorySystem.create({"scratch": 64})["scratch"]
+    ring = ScratchRing("r", scratch, 0, capacity)
     model: list[int] = []
     highest = 0
     now = 0
@@ -181,19 +181,10 @@ def test_ring_is_a_bounded_fifo(capacity, ops):
 @given(base=st.integers(min_value=-4, max_value=70),
        capacity=st.integers(min_value=-2, max_value=70))
 def test_ring_regions_validated(base, capacity):
-    memory = MemorySystem.create({"scratch": 64})
+    scratch = MemorySystem.create({"scratch": 64})["scratch"]
     fits = capacity > 0 and base >= 0 and base + 2 + capacity <= 64
     if fits:
-        memory.add_ring("r", base, capacity)
+        ScratchRing("r", scratch, base, capacity)
     else:
         with pytest.raises(SimulatorError):
-            memory.add_ring("r", base, capacity)
-
-
-def test_duplicate_and_unknown_ring_names():
-    memory = MemorySystem.create({"scratch": 64})
-    memory.add_ring("r", 0, 4)
-    with pytest.raises(SimulatorError, match="already exists"):
-        memory.add_ring("r", 16, 4)
-    with pytest.raises(SimulatorError, match="unknown ring"):
-        memory.ring("missing")
+            ScratchRing("r", scratch, base, capacity)

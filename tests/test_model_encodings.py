@@ -142,6 +142,6 @@ class TestModelToggles:
 
     def test_no_spill_mode_drops_m_bank(self):
         comp = compile_virtual(PROGRAMS["xfer_pressure"])
-        am = build_model(comp.flowgraph, ModelOptions(allow_spill=False))
+        am = build_model(comp.flowgraph, allow_spill=False)
         for v in comp.flowgraph.temps():
             assert Bank.M not in am.allowed(v)

@@ -17,8 +17,6 @@ import pytest
 
 from repro.fuzz.netmeta import check_result, check_steering
 from repro.ixp.machine import hash48
-from repro.ixp.memory import MemorySystem
-from repro.errors import SimulatorError
 from repro.ixp.net import (
     NetConfig,
     NetRuntime,
@@ -156,28 +154,6 @@ def test_unknown_steer_mode_rejected(nat_stream):
         NetRuntime(nat_stream, NetConfig(steer="random"))
     with pytest.raises(ValueError, match="dispatch_cycles"):
         NetRuntime(nat_stream, NetConfig(dispatch_cycles=-1))
-
-
-# -- per-engine ring groups ------------------------------------------------
-
-
-def test_ring_group_members_and_accounting():
-    memory = MemorySystem.create()
-    group = memory.add_ring_group("q", 100, 4, 3)
-    assert len(group) == 3
-    assert [ring.name for ring in group] == ["q0", "q1", "q2"]
-    # members are ordinary named rings in the same scratch image
-    assert memory.ring("q1") is group[1]
-    assert group[1].base == 100 + (2 + 4)
-    group[0].try_enqueue(0, 11)
-    group[2].try_enqueue(0, 22)
-    group[2].try_enqueue(5, 33)
-    assert group.enqueues == 3 and group.dequeues == 0
-    assert group.high_waters() == [1, 0, 2]
-    assert group.high_water == 2
-    assert group.depths() == [1, 0, 2]
-    with pytest.raises(SimulatorError, match="count must be > 0"):
-        memory.add_ring_group("z", 200, 4, 0)
 
 
 # -- percentile semantics --------------------------------------------------
