@@ -41,8 +41,8 @@ def test_pruning_shrinks_app_models(virtual_apps):
                 pruned.model.num_vars,
                 unpruned.model.num_vars,
                 round(unpruned.model.num_vars / pruned.model.num_vars, 2),
-                len(pruned.model.constraints),
-                len(unpruned.model.constraints),
+                pruned.model.num_constraints,
+                unpruned.model.num_constraints,
             ]
         )
     print_table(

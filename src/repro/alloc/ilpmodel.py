@@ -958,7 +958,7 @@ def _fixed_coloring(am: AllocModel, tracer) -> dict[tuple[str, Bank], int] | Non
                 fixed=int(colors is not None),
                 filtered=int(cm is None),
                 variables=cm.num_vars if cm else 0,
-                constraints=len(cm.constraints) if cm else 0,
+                constraints=cm.num_constraints if cm else 0,
             )
     return colors
 

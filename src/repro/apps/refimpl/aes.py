@@ -13,6 +13,8 @@ not implement CBC, so the data size must be a multiple of 16 bytes").
 
 from __future__ import annotations
 
+import functools
+
 MASK32 = 0xFFFFFFFF
 
 # FIPS-197 S-box.
@@ -72,6 +74,13 @@ _T0, _T1, _T2, _T3 = (tuple(table) for table in aes_t_tables())
 
 def expand_key(key: bytes) -> list[int]:
     """AES-128 key expansion → 44 round-key words (FIPS-197 §5.2)."""
+    return list(_round_keys(bytes(key)))
+
+
+@functools.lru_cache(maxsize=16)
+def _round_keys(key: bytes) -> tuple[int, ...]:
+    """:func:`expand_key`, once per key: a stream encrypts every packet
+    under the same key."""
     if len(key) != 16:
         raise ValueError("AES-128 needs a 16-byte key")
     words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
@@ -87,7 +96,7 @@ def expand_key(key: bytes) -> list[int]:
             )
             temp ^= _RCON[i // 4 - 1] << 24
         words.append(words[i - 4] ^ temp)
-    return words
+    return tuple(words)
 
 
 def aes_encrypt_words(block: list[int], round_keys: list[int]) -> list[int]:
@@ -122,7 +131,7 @@ def aes_encrypt_block(block: bytes, key: bytes) -> bytes:
     if len(block) != 16:
         raise ValueError("AES block must be 16 bytes")
     words = [int.from_bytes(block[i : i + 4], "big") for i in range(0, 16, 4)]
-    out = aes_encrypt_words(words, expand_key(key))
+    out = aes_encrypt_words(words, _round_keys(bytes(key)))
     return b"".join(w.to_bytes(4, "big") for w in out)
 
 
@@ -130,7 +139,7 @@ def aes_encrypt_payload(payload: bytes, key: bytes) -> bytes:
     """ECB over a multiple-of-16 payload (the paper's restriction)."""
     if len(payload) % 16:
         raise ValueError("payload must be a multiple of 16 bytes")
-    round_keys = expand_key(key)
+    round_keys = _round_keys(bytes(key))
     out = bytearray()
     for i in range(0, len(payload), 16):
         words = [

@@ -17,7 +17,9 @@ before use, and an unreadable entry reads as "absent".
 whenever :attr:`SolveOptions.hint_dir` is set; this module only hides
 the file format.  It also holds :func:`satisfies_rows`, the row check
 that a stored optimum and an LP's rounded vertex both pass before they
-count as a 0-1 solution.
+count as a 0-1 solution, and :func:`form_digest`, the same hash of a
+standard form without the solve's settings, which the model goldens
+and ``tools/determinism_check.py`` compare.
 """
 
 from __future__ import annotations
@@ -131,15 +133,28 @@ def solve_digest(form: tuple, engine: str, gap: float) -> str:
     time and node budgets are left out: a solve that ends ``optimal``
     never reached them, so they did not shape its answer.
     """
-    c, matrix, lb, ub = form
     digest = hashlib.sha256(
         f"{OPTIMUM_FORMAT} {engine} {gap!r} {scipy.__version__} "
-        f"{matrix.shape}".encode()
+        f"{form[1].shape}".encode()
     )
+    return _hash_arrays(digest, form).hexdigest()
+
+
+def form_digest(form: tuple) -> str:
+    """sha256 of a standard form's arrays, as :func:`solve_digest` hashes
+    them but without the solve's engine, gap or scipy version: what the
+    model is, whatever solves it."""
+    return _hash_arrays(hashlib.sha256(), form).hexdigest()
+
+
+def _hash_arrays(digest, form: tuple):
+    """``digest`` updated with the dtype and bytes of each array of
+    ``form``: the cost vector, the CSR arrays and the row bounds."""
+    c, matrix, lb, ub = form
     for array in (c, matrix.indptr, matrix.indices, matrix.data, lb, ub):
         digest.update(array.dtype.str.encode())
         digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+    return digest
 
 
 def reused_optimum(form: tuple, entry: dict) -> Solution | None:

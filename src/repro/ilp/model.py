@@ -11,18 +11,30 @@ gives the allocator the same vocabulary:
 >>> m.add(LinExpr({a: 1}), "==", 1, note="in one place only")
 >>> m.minimize({a: 3.0})
 
-Constraints and the objective reference variables by dense integer ids,
-so conversion to sparse matrix form (for HiGHS or our own solver) is a
-single pass: :func:`repro.ilp.solve.standard_form`, on the solver side.
-This module is pure Python; building a model loads neither numpy nor
-scipy.
+Constraints and the objective reference variables by dense integer ids.
+A model keeps its rows in flat per-model arrays (columns, coefficients,
+row ends, senses, right-hand sides, notes), not one object per row, and
+owns each family's index dict; a :class:`Family` is a view the model
+does not point back to.  A built model is therefore a few dozen
+containers plus its index keys, and a dropped one is freed by reference
+counting, without waiting for the cyclic garbage collector.  The
+arrays are already the COO form of the constraint matrix, so
+conversion to sparse standard form (for HiGHS or our own solver) is a
+few numpy calls: :func:`repro.ilp.solve.standard_form`, on the solver
+side.  This module is pure Python; building a model loads neither numpy
+nor scipy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
+
+#: Row senses; :attr:`Model.senses` holds each row's index into this.
+SENSES = ("<=", ">=", "==")
+_SENSE_CODES = {sense: code for code, sense in enumerate(SENSES)}
 
 
 @dataclass
@@ -42,12 +54,16 @@ class LinExpr:
 
 
 class Family:
-    """An indexed family of binary variables (``var x {S1, S2} binary``)."""
+    """An indexed family of binary variables (``var x {S1, S2} binary``).
+
+    A view of the model's index dict for ``name``: views of one name
+    share the dict, and the model holds no reference to any view.
+    """
 
     def __init__(self, model: "Model", name: str):
         self.model = model
         self.name = name
-        self.index: dict[tuple, int] = {}
+        self.index: dict[tuple, int] = model.indexes.setdefault(name, {})
 
     def __getitem__(self, key: tuple) -> int:
         var = self.index.get(key)
@@ -69,23 +85,25 @@ class Family:
         return self.index.items()
 
 
-@dataclass
-class _Constraint:
-    coeffs: dict[int, float]
-    sense: str  # '<=', '>=', '=='
-    rhs: float
-    note: str = ""
-
-
 class Model:
     """A 0-1 integer linear program under construction."""
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.num_vars = 0
-        self.var_names: list[tuple[str, tuple]] = []
-        self.families: dict[str, Family] = {}
-        self.constraints: list[_Constraint] = []
+        #: family name → (index → variable id), in declaration order.
+        self.indexes: dict[str, dict[tuple, int]] = {}
+        # The rows, flat.  Row i's terms are cols[j] * coefs[j] for j in
+        # range(ends[i - 1], ends[i]) (from 0 for the first row), in the
+        # order its expression listed them; senses[i] indexes SENSES.
+        # Coefficients stay Python numbers, so numpy infers the matrix
+        # dtype from them as it would from the expressions.
+        self.cols = array("i")
+        self.coefs: list[float] = []
+        self.ends = array("q")
+        self.senses = array("b")
+        self.rhs = array("d")
+        self.notes: list[str] = []
         self.objective: dict[int, float] = {}
         #: bumped by every mutating call; keys the memo of
         #: :func:`repro.ilp.solve.standard_form`, so one model solved by
@@ -95,22 +113,27 @@ class Model:
     # -- variables ------------------------------------------------------------
 
     def family(self, name: str) -> Family:
-        fam = self.families.get(name)
-        if fam is None:
-            fam = Family(self, name)
-            self.families[name] = fam
-        return fam
+        return Family(self, name)
+
+    @property
+    def families(self) -> dict[str, Family]:
+        """A view of every family declared so far, by name."""
+        return {name: Family(self, name) for name in self.indexes}
 
     def _new_var(self, family: str, key: tuple) -> int:
         var = self.num_vars
         self.num_vars += 1
-        self.var_names.append((family, key))
         self.mutations += 1
         return var
 
     def name_of(self, var: int) -> str:
-        family, key = self.var_names[var]
-        return f"{family}[{','.join(str(k) for k in key)}]"
+        """``Family[key]`` of ``var``, found by a scan of the families in
+        declaration order (a debugging aid, not a hot path)."""
+        for family, index in self.indexes.items():
+            for key, candidate in index.items():
+                if candidate == var:
+                    return f"{family}[{','.join(str(k) for k in key)}]"
+        raise IndexError(f"no variable {var} in model {self.name!r}")
 
     # -- constraints ------------------------------------------------------------
 
@@ -122,9 +145,15 @@ class Model:
         note: str = "",
     ) -> None:
         coeffs = expr.coeffs if isinstance(expr, LinExpr) else expr
-        if sense not in ("<=", ">=", "=="):
+        code = _SENSE_CODES.get(sense)
+        if code is None:
             raise ValueError(f"bad constraint sense {sense!r}")
-        self.constraints.append(_Constraint(dict(coeffs), sense, rhs, note))
+        self.cols.extend(coeffs)
+        self.coefs.extend(coeffs.values())
+        self.ends.append(len(self.coefs))
+        self.senses.append(code)
+        self.rhs.append(rhs)
+        self.notes.append(note)
         self.mutations += 1
 
     def add_sum_eq(self, vars_: list[int], rhs: float, note: str = "") -> None:
@@ -143,14 +172,18 @@ class Model:
 
     # -- reporting --------------------------------------------------------------
 
+    @property
+    def num_constraints(self) -> int:
+        return len(self.ends)
+
     def nonzeros(self) -> int:
         """Structural nonzeros of the constraint matrix (Figure 7 vocabulary)."""
-        return sum(len(con.coeffs) for con in self.constraints)
+        return len(self.coefs)
 
     def stats(self) -> dict[str, int]:
         return {
             "variables": self.num_vars,
-            "constraints": len(self.constraints),
+            "constraints": self.num_constraints,
             "objective_terms": self.objective_terms,
         }
 

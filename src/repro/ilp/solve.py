@@ -51,7 +51,7 @@ from repro.ilp.hints import (
     satisfies_rows,
     solve_digest,
 )
-from repro.ilp.model import Model, Solution
+from repro.ilp.model import SENSES, Model, Solution
 from repro.ilp.options import SolveOptions, check_engine
 from repro.trace import ensure
 
@@ -67,41 +67,35 @@ def standard_form(model: Model) -> tuple:
     """Return (c, A, lb_row, ub_row) with one row per constraint.
 
     Row senses are encoded as [lb, ub] bounds on A @ x, suitable for
-    :class:`scipy.optimize.LinearConstraint`.
+    :class:`scipy.optimize.LinearConstraint`.  The model's flat row
+    arrays are the COO triplets, rows in insertion order and columns in
+    each row's own order, so scipy's COO→CSR conversion treats explicit
+    zeros and duplicates exactly as for per-row input.
 
     Memoized against the model's mutation counter (and objective
     identity, for code that rebinds ``objective`` wholesale): the fuzz
-    oracle solves one model under several engines, and the sparse-matrix
-    conversion is a large share of small-model solve time.  Callers
-    must treat the returned arrays as read-only.
+    oracle solves one model under several engines.  Callers must treat
+    the returned arrays as read-only.
     """
     key = (model.mutations, id(model.objective))
     cached = _FORMS.get(model)
     if cached is not None and cached[0] == key:
         return cached[1]
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    lb = np.empty(len(model.constraints))
-    ub = np.empty(len(model.constraints))
-    for i, con in enumerate(model.constraints):
-        for var, coef in con.coeffs.items():
-            rows.append(i)
-            cols.append(var)
-            data.append(coef)
-        if con.sense == "<=":
-            lb[i], ub[i] = -np.inf, con.rhs
-        elif con.sense == ">=":
-            lb[i], ub[i] = con.rhs, np.inf
-        else:
-            lb[i], ub[i] = con.rhs, con.rhs
+    ends = np.array(model.ends, dtype=np.int64)
+    rows = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     matrix = sparse.csr_matrix(
-        (data, (rows, cols)),
-        shape=(len(model.constraints), model.num_vars),
+        (np.array(model.coefs), (rows, np.array(model.cols))),
+        shape=(len(ends), model.num_vars),
     )
+    senses = np.array(model.senses)
+    rhs = np.array(model.rhs)
+    lb = np.where(senses == SENSES.index("<="), -np.inf, rhs)
+    ub = np.where(senses == SENSES.index(">="), np.inf, rhs)
     c = np.zeros(model.num_vars)
-    for var, coef in model.objective.items():
-        c[var] = coef
+    terms = len(model.objective)
+    c[np.fromiter(model.objective, np.intp, terms)] = np.fromiter(
+        model.objective.values(), np.float64, terms
+    )
     result = (c, matrix, lb, ub)
     _FORMS[model] = (key, result)
     return result
@@ -181,7 +175,7 @@ def solve_model(
                 store.save_optimum(digest, solution)
         if sp:
             sp.add(
-                rows=len(model.constraints),
+                rows=model.num_constraints,
                 cols=model.num_vars,
                 nonzeros=model.nonzeros(),
                 status=solution.status,
@@ -247,7 +241,7 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
             time_limit = max(0.0, time_limit - root_seconds)
     start = time.perf_counter()
     constraints = []
-    if len(model.constraints):
+    if model.num_constraints:
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
     milp_options = {"mip_rel_gap": options.gap}
     if time_limit is not None:

@@ -57,6 +57,7 @@ from repro.ixp import isa
 from repro.ixp.flowgraph import FlowGraph
 from repro.ixp.machine import (
     HASH_LATENCY,
+    LOCK_RETRY,
     WORD_MASK,
     _ALU_FNS,
     _CMP_FNS,
@@ -733,7 +734,7 @@ class _Codegen:
             saved_cycles = self.cycles_pending
             self.hist(instr, 1)
             self.tick(1)
-            self.exit_retry(self_label, 4)
+            self.exit_retry(self_label, LOCK_RETRY)
             self.cycles_pending = saved_cycles
             self.ind -= 1
             self.w(f"locks[{number!r}] = tid")

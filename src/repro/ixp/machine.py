@@ -65,6 +65,9 @@ from repro.trace import ensure
 
 WORD_MASK = 0xFFFFFFFF
 HASH_LATENCY = 10
+#: Cycles from a spinning ``lock`` to its retry: a thread that finds the
+#: lock held re-executes the instruction this long after issue.
+LOCK_RETRY = 4
 CLOCK_MHZ = 233  # IXP1200 in the paper (Section 11)
 
 #: The two simulator tiers, oracle first.  Both are observationally
@@ -653,7 +656,7 @@ class Machine:
                     f"thread {thread.tid} re-acquiring lock {instr.number}"
                 )
             # Spin: yield and retry this instruction later.
-            return 1, clock + 4
+            return 1, clock + LOCK_RETRY
         if holder != thread.tid:
             raise SimulatorError(
                 f"thread {thread.tid} unlocking lock {instr.number} held "

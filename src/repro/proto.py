@@ -80,23 +80,38 @@ _SERVER_ONLY = {"hint_dir"}
 
 def options_to_wire(options: CompileOptions) -> dict:
     """Sparse dict of the knobs that differ from the defaults."""
-    return _diff(options, CompileOptions())
+    return _diff(options, _DEFAULTS, _WIRE_FIELDS)
 
 
-def _diff(value, default):
+def _diff(value, default, fields):
     out = {}
-    for f in dataclasses.fields(value):
-        if f.name in _SERVER_ONLY:
-            continue
-        current = getattr(value, f.name)
-        base = getattr(default, f.name)
-        if dataclasses.is_dataclass(current) and not isinstance(current, type):
-            nested = _diff(current, base)
-            if nested:
-                out[f.name] = nested
+    for name, nested in fields:
+        current = getattr(value, name)
+        base = getattr(default, name)
+        if nested is not None:
+            sub = _diff(current, base, nested)
+            if sub:
+                out[name] = sub
         elif current != base:
-            out[f.name] = current
+            out[name] = current
     return out
+
+
+def _wire_fields(cls) -> tuple:
+    """``(name, nested fields or None)`` per wire field of ``cls``, in
+    declaration order, without :data:`_SERVER_ONLY`."""
+    return tuple(
+        (f.name, _wire_fields(_NESTED[f.name]) if f.name in _NESTED else None)
+        for f in dataclasses.fields(cls)
+        if f.name not in _SERVER_ONLY
+    )
+
+
+#: The options tree's wire fields and the default tree that
+#: :func:`options_to_wire` diffs against, both built once at import, so
+#: a client request inspects no dataclass.
+_WIRE_FIELDS = _wire_fields(CompileOptions)
+_DEFAULTS = CompileOptions()
 
 
 def options_from_wire(data: dict | None) -> CompileOptions:

@@ -33,8 +33,6 @@ def test_allocated_code_matches_virtual(tc):
     virtual_results, virtual_mem = run_main(comp, tc.memory, **tc.inputs)
     physical_results, physical_mem = run_physical(comp, tc.memory, **tc.inputs)
     assert physical_results == virtual_results
-    spill_lo = comp.alloc.model.options and 0
-    del spill_lo
     spill_slots = set(comp.alloc.decoded.spill_slots.values())
     for space in ("sram", "sdram", "scratch"):
         words_v = {a: w for a, w in virtual_mem[space].words.items() if w}

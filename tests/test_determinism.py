@@ -5,9 +5,11 @@ the same order every time, so no in-process test can see the allocation
 model depend on memory layout.  This one compiles in four interpreters
 with different ``PYTHONHASHSEED`` values (``tools/determinism_check.py``;
 CI runs the same check on AES and Kasumi) and requires byte-identical
-physical listings and ILP objectives.
+physical listings, ILP objectives and solved models.
 """
 
+import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -29,3 +31,20 @@ def test_physical_code_is_independent_of_the_hash_seed():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert f"{len(examples) + 1} programs identical" in result.stdout
+
+
+def test_report_pins_the_solved_model():
+    """A reordered row changes the model digest even when HiGHS returns
+    the same optimum, so the report carries it next to the listing."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "determinism_check.py"),
+         "--report", "examples/ttl_decrement.nova"],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    (entry,) = json.loads(result.stdout).values()
+    assert sorted(entry) == ["listing_sha256", "model_sha256", "objective"]
+    assert len(entry["model_sha256"]) == 64

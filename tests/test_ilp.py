@@ -1,13 +1,18 @@
 """ILP modeling layer and solver tests (the AMPL/CPLEX substitute)."""
 
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from repro.ilp.hints import form_digest
 from repro.ilp.model import LinExpr, Model
 from repro.ilp.options import SolveOptions
 from repro.ilp.solve import solve_model, solve_root_relaxation, standard_form
@@ -22,6 +27,41 @@ def knapsack_model(values, weights, capacity):
     # milp minimizes; maximize value = minimize -value
     m.minimize({x[(i,)]: -v for i, v in enumerate(values)})
     return m, x
+
+
+#: Row and objective coefficients of either Python number type.
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-3, 3, allow_nan=False),
+    st.sampled_from([0, 0.0, -0.0]),
+)
+
+
+def row_loop_form(rows, objective, num_vars):
+    """Standard form built row by row from ``(coeffs, sense, rhs)``
+    triples: the conversion the model's flat arrays replaced, kept as
+    the reference."""
+    row_ids, col_ids, data = [], [], []
+    lb = np.empty(len(rows))
+    ub = np.empty(len(rows))
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        for var, coef in coeffs.items():
+            row_ids.append(i)
+            col_ids.append(var)
+            data.append(coef)
+        if sense == "<=":
+            lb[i], ub[i] = -np.inf, rhs
+        elif sense == ">=":
+            lb[i], ub[i] = rhs, np.inf
+        else:
+            lb[i], ub[i] = rhs, rhs
+    matrix = sparse.csr_matrix(
+        (data, (row_ids, col_ids)), shape=(len(rows), num_vars)
+    )
+    c = np.zeros(num_vars)
+    for var, coef in objective.items():
+        c[var] = coef
+    return c, matrix, lb, ub
 
 
 class TestModel:
@@ -72,6 +112,83 @@ class TestModel:
             "constraints": 1,
             "objective_terms": 1,
         }
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.dictionaries(st.integers(0, n - 1), COEFFICIENTS),
+                        st.sampled_from(["<=", ">=", "=="]),
+                        COEFFICIENTS,
+                    ),
+                    max_size=6,
+                ),
+                st.dictionaries(st.integers(0, n - 1), COEFFICIENTS),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_standard_form_matches_the_row_loop(self, case):
+        """The flat arrays give the bytes the per-row conversion gave,
+        int-only rows, explicit zeros and empty rows included."""
+        num_vars, rows, objective = case
+        m = Model()
+        x = m.family("x")
+        for i in range(num_vars):
+            x[(i,)]  # declares variable i
+        for coeffs, sense, rhs in rows:
+            m.add(coeffs, sense, rhs)
+        m.minimize(objective)
+        expected = row_loop_form(rows, m.objective, num_vars)
+        form = standard_form(m)
+        assert form[1].shape == expected[1].shape
+        assert form_digest(form) == form_digest(expected)
+
+    def test_add_copies_the_row(self):
+        m = Model()
+        x = m.family("x")
+        row = {x[(0,)]: 1.0, x[(1,)]: 2.0}
+        m.add(row, "<=", 3)
+        row[x[(0,)]] = 5.0
+        _, matrix, _, _ = standard_form(m)
+        assert matrix.toarray().tolist() == [[1.0, 2.0]]
+
+    def test_families_are_views_of_the_model(self):
+        m = Model()
+        before = m.family("Before")
+        a = before[("p", "v", "A")]
+        # An alias (Before and After share a variable where no move may
+        # happen) is named after the family that declared it first.
+        m.family("After").index[("p", "v", "A")] = a
+        assert m.family("After")[("p", "v", "A")] == a
+        assert sorted(m.families) == ["After", "Before"]
+        assert len(m.families["After"]) == 1
+        assert m.name_of(a) == "Before[p,v,A]"
+        with pytest.raises(IndexError):
+            m.name_of(1)
+
+    def test_dropped_model_is_freed_without_the_collector(self):
+        # No reference cycle: a dropped model goes at once, not at the
+        # next full collection.
+        m = knapsack_model([1, 2], [1, 1], capacity=1)[0]
+        standard_form(m)
+        ref = weakref.ref(m)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_model_pickles(self):
+        m, x = knapsack_model([3, 4, 5], [2, 3, 4], capacity=5)
+        copy = pickle.loads(pickle.dumps(m))
+        assert form_digest(standard_form(copy)) == form_digest(standard_form(m))
+        assert copy.family("x").get((2,)) == x.get((2,))
 
 
 class TestSolvers:

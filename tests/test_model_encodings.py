@@ -60,7 +60,8 @@ def test_interference_encodings_equivalent(name):
     am_direct, sol_direct = _solve(source, interference_encoding="direct")
     assert sol_aux.objective == pytest.approx(sol_direct.objective, abs=1e-6)
     assert (am_aux.fixed_colors is None) == (name in COLORED_IN_ILP)
-    aux, direct = len(am_aux.model.constraints), len(am_direct.model.constraints)
+    aux = am_aux.model.num_constraints
+    direct = am_direct.model.num_constraints
     if name in COLORED_IN_ILP:
         assert direct > aux  # the direct form has many more constraints
     else:

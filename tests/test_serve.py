@@ -89,6 +89,30 @@ class TestProtocol:
         assert rebuilt.alloc.two_phase is False
         assert rebuilt.alloc.solve.gap == 1e-2
         assert options_to_wire(CompileOptions()) == {}
+        # A knob set back to its default is not sent.
+        options = CompileOptions()
+        options.alloc.fallback = False
+        options.alloc.fallback = True
+        assert options_to_wire(options) == {}
+        # One knob changed at each nesting level.
+        options = CompileOptions()
+        options.optimizer_rounds = 3
+        options.alloc.fallback_time_limit = None
+        options.alloc.model.a_bank_bias = 1.02
+        options.alloc.solve.engine = "bnb"
+        wire = options_to_wire(options)
+        assert wire == {
+            "optimizer_rounds": 3,
+            "alloc": {
+                "fallback_time_limit": None,
+                "model": {"a_bank_bias": 1.02},
+                "solve": {"engine": "bnb"},
+            },
+        }
+        assert options_to_wire(options_from_wire(wire)) == wire
+        # The daemon's own store never travels.
+        options.alloc.solve.hint_dir = "hints"
+        assert options_to_wire(options) == wire
 
     def test_unknown_and_server_only_keys_rejected(self):
         for unknown in ({"no_such_knob": 1}, {"alloc": {"spill_base": 0}}):

@@ -2,11 +2,14 @@
 
 Compiles each named program through the ILP allocator in one fresh
 interpreter per ``PYTHONHASHSEED`` value and requires byte-identical
-physical listings and ILP objectives.  A set or dict iterated in hash
-order while the allocation model is built reorders its rows, and HiGHS
-then picks a different optimum among ties.  Inside one process the
-order never changes, so only separate interpreters, with different hash
-seeds and objects at different addresses, catch it.
+physical listings, ILP objectives and solved models.  A set or dict
+iterated in hash order while the allocation model is built reorders its
+rows, and HiGHS then may pick a different optimum among ties; the
+model's digest (:func:`repro.ilp.hints.form_digest` of its standard
+form) catches the reordering even when HiGHS returns the same optimum.
+Inside one process the order never changes, so only separate
+interpreters, with different hash seeds and objects at different
+addresses, catch it.
 
     PYTHONPATH=src python tools/determinism_check.py nat examples/classify.nova
     PYTHONPATH=src python tools/determinism_check.py aes kasumi
@@ -31,7 +34,8 @@ SEEDS = ("0", "1", "2", "3")
 
 
 def report(programs: list[str], shift: int) -> dict:
-    """Listing digest and ILP objective of each program, in this process.
+    """Listing digest, ILP objective and solved-model digest of each
+    program, in this process.
 
     Identity hashes follow memory addresses, which the hash seed moves
     only now and then; ``shift`` blocks of every small-object size class
@@ -41,6 +45,8 @@ def report(programs: list[str], shift: int) -> dict:
     ballast = [bytes(size) for size in range(0, 480, 8) for _ in range(shift)]
     from repro import apps
     from repro.compiler import compile_nova
+    from repro.ilp.hints import form_digest
+    from repro.ilp.solve import standard_form
     from repro.ixp.listing import render_listing
     from repro.trace import Tracer
 
@@ -53,11 +59,15 @@ def report(programs: list[str], shift: int) -> dict:
         tracer = Tracer()
         comp = compile_nova(source, program, tracer=tracer)
         solve = tracer.last("solve")
+        model = comp.alloc.model
         listing = render_listing(comp.physical)
         out[program] = {
             "listing_sha256": hashlib.sha256(listing.encode()).hexdigest(),
             # repr round-trips a float exactly: equal text, equal bits.
             "objective": repr(solve.counters["objective"]) if solve else None,
+            "model_sha256": (
+                form_digest(standard_form(model.model)) if model else None
+            ),
         }
     del ballast
     return out
