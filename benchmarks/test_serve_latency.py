@@ -22,7 +22,8 @@ Two claims from the daemon's design get measured and recorded to
    (the LP relaxation first when its coloring left the ILP) and a hint
    store, as a daemon miss does: that cold solve (``cold_s``) records
    its proven optimum.  The identical model is then answered from the
-   store (``reuse_s``).  ``bnb`` alone on the same model is time-capped
+   store (``reuse_s``, which includes the one standard-form conversion
+   a daemon miss pays).  ``bnb`` alone on the same model is time-capped
    — on paper-scale models it typically cannot finish.  Wall-clock, one
    round each, since a single solve is seconds.
 
@@ -40,7 +41,7 @@ from repro.alloc.allocator import AllocOptions, _solve_options
 from repro.alloc.ilpmodel import build_model
 from repro.compiler import CompileOptions, compile_from_front, parse_front
 from repro.ilp.options import SolveOptions
-from repro.ilp.solve import solve_model, standard_form
+from repro.ilp.solve import solve_model
 from repro.trace import nearest_rank
 
 from benchmarks.conftest import APP_BUILDERS, print_table
@@ -166,7 +167,6 @@ def _measure_warm_start(tmp_path):
     results = {}
     for name in APP_BUILDERS:
         am = _build_alloc_model(name)
-        standard_form(am.model)  # pre-warm the memo for every solve
         hinted = replace(
             _solve_options(am, AllocOptions()), hint_dir=str(tmp_path / "hints")
         )

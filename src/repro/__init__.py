@@ -9,9 +9,10 @@ model, together with its memories, as a cycle-approximate simulator).
 
 Public API
 ----------
-- :func:`compile_nova` — compile Nova source text end-to-end.
-- :class:`repro.compiler.Compiler` — the staged driver with per-phase
-  artifacts and statistics.
+- :func:`compile_nova` — compile Nova source text end-to-end; the
+  :class:`~repro.compiler.Compilation` it returns keeps every phase's
+  artifact, and a tracer records each phase's statistics.
+- :class:`~repro.compiler.CompileOptions` — the pipeline's knobs.
 - :mod:`repro.nova` — language front end (lexer/parser/types/layouts).
 - :mod:`repro.cps` — CPS intermediate representation and optimizer.
 - :mod:`repro.ixp` — IXP1200 instruction set, flowgraph and simulator.
@@ -33,7 +34,7 @@ before it forks workers that may solve.
 
 from typing import Any
 
-__all__ = ["Compiler", "CompileOptions", "compile_nova"]
+__all__ = ["CompileOptions", "compile_nova"]
 
 __version__ = "1.0.0"
 

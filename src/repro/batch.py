@@ -193,32 +193,25 @@ def scatter(
     worker,
     arg_tuples: Sequence[tuple],
     jobs: int = 1,
-    pool=None,
     solves: bool = False,
 ) -> list:
     """Run ``worker(*args)`` for every tuple; results in input order.
 
     The generic fan-out underneath :func:`compile_many`, also reused by
-    the fuzz campaign driver (:mod:`repro.fuzz.driver`).  ``jobs == 1``
-    (or a single item) stays in-process; otherwise the work is spread
-    over a :class:`ProcessPoolExecutor`, so ``worker`` must be a
-    module-level function and the argument tuples picklable.  Workers
-    are expected to catch their own exceptions and return structured
-    error records — a raise here propagates and kills the whole job.
+    both fuzz campaigns (:mod:`repro.fuzz.driver`,
+    :mod:`repro.fuzz.netgen`).  ``jobs == 1`` (or a single item) stays
+    in-process; otherwise the work is spread over a fresh
+    :class:`ProcessPoolExecutor` of at most ``jobs`` forked workers, so
+    ``worker`` must be a module-level function and the argument tuples
+    picklable.  Workers are expected to catch their own exceptions and
+    return structured error records — a raise here propagates and kills
+    the whole job.
 
-    ``pool`` submits to an existing executor instead of forking a fresh
-    one (``jobs`` is then ignored and the pool is left running): the
-    compile daemon, ``novac fuzz`` and ``novac pump --chips`` reuse one
-    warm pool across calls rather than paying per-call fork + import.
-
-    ``solves`` says the workers may solve an ILP.  A fresh pool is then
+    ``solves`` says the workers may solve an ILP.  The pool is then
     forked after :func:`~repro.ilp.options.load_solver_stack`, so its
     workers share this process's numpy and scipy pages instead of each
     importing the libraries at its first solve.
     """
-    if pool is not None:
-        futures = [pool.submit(worker, *args) for args in arg_tuples]
-        return [future.result() for future in futures]
     jobs = max(1, int(jobs))
     if jobs == 1 or len(arg_tuples) <= 1:
         return [worker(*args) for args in arg_tuples]
@@ -242,7 +235,6 @@ def compile_many(
     cache_dir: str | Path | None = None,
     tracer=None,
     keep_artifacts: bool = True,
-    pool=None,
 ) -> BatchResult:
     """Compile every source; never raises on a per-unit compile failure.
 
@@ -251,15 +243,12 @@ def compile_many(
     in input order regardless.  With ``keep_artifacts=False`` the
     (potentially large) :class:`Compilation` objects are dropped in the
     workers — the CLI's batch summary only needs the outcome records.
-    ``pool`` reuses an existing executor (see :func:`scatter`).
     """
     options = options or CompileOptions()
     tracer = ensure(tracer)
     items = _normalize(sources)
     cache_dir = str(cache_dir) if cache_dir is not None else None
     jobs = max(1, int(jobs))
-    if pool is not None:
-        jobs = getattr(pool, "_max_workers", jobs)
     start = time.perf_counter()
     with tracer.span("batch", sources=len(items), jobs=jobs) as sp:
         outcomes = scatter(
@@ -269,7 +258,6 @@ def compile_many(
                 for name, text in items
             ],
             jobs,
-            pool=pool,
             solves=options.run_allocator,
         )
         units = []

@@ -10,7 +10,7 @@ Usage::
     novac --cache-dir .cache *.nova # content-addressed compile cache
     novac fuzz --seed 0 --count 200 # differential fuzzing campaign
     novac fuzz --net --count 100    # streaming-scenario fuzzing campaign
-    novac pump --app nat --chips 2  # whole-chip packet streaming (6x4)
+    novac pump --app nat            # whole-chip packet streaming (6x4)
     novac serve --socket /tmp/n.sock --cache-dir .cache  # compile daemon
     novac --connect /tmp/n.sock program.nova  # compile via the daemon
     novac client --socket /tmp/n.sock --stats # daemon introspection
@@ -442,10 +442,6 @@ def pump_main(argv: list[str]) -> int:
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--steer", choices=STEER_MODES, default="flow",
                         help="dispatch policy: flow-hash or round-robin")
-    parser.add_argument("--chips", type=int, default=1,
-                        help="independent chips to shard across (default 1)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="process-pool workers for --chips > 1")
     parser.add_argument("--packets", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--rx", type=int, default=32, metavar="N",
@@ -488,13 +484,7 @@ def _pump(args, sizes, tracer) -> int:
     """Compile and stream for :func:`pump_main`; returns the exit status
     (the caller then renders the trace, whatever the outcome)."""
     from repro.errors import SimulatorError
-    from repro.ixp.net import (
-        NetConfig,
-        compile_app,
-        run_sharded,
-        run_stream,
-        stream_app,
-    )
+    from repro.ixp.net import NetConfig, compile_app, run_stream, stream_app
 
     try:
         comp = compile_app(args.app, args.virtual, args.cache_dir, tracer)
@@ -518,42 +508,6 @@ def _pump(args, sizes, tracer) -> int:
         sim_mode=args.sim_mode,
     )
     mode = "virtual" if args.virtual else "physical"
-
-    if args.chips > 1:
-        # Multi-chip deployment: the compile above warmed the cache (if
-        # any), so pool workers recompile cheaply or hit the cache.
-        try:
-            sharded = run_sharded(
-                args.app,
-                config,
-                chips=args.chips,
-                sizes=sizes,
-                virtual=args.virtual,
-                cache_dir=args.cache_dir,
-                jobs=args.jobs,
-                tracer=tracer,
-            )
-        except (SimulatorError, ValueError) as exc:
-            print(f"novac pump: {exc}", file=sys.stderr)
-            return 1
-        summary = sharded.summary()
-        print(
-            f"pump {args.app} ({mode}, {args.sim_mode}, "
-            f"{args.chips} chips x {config.engines}x{config.threads})"
-        )
-        for key in (
-            "chips", "generated", "completed", "dropped", "inflight",
-            "mismatches", "cycles", "mbps", "latency_p50", "latency_p95",
-        ):
-            print(f"  {key:<14} {summary[key]}")
-        if sharded.mismatches:
-            print(
-                f"novac pump: {len(sharded.mismatches)} packets mismatched "
-                "the reference implementation",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
 
     try:
         result = run_stream(stream_app(args.app, comp, sizes), config, tracer)

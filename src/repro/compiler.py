@@ -348,33 +348,20 @@ def allocate_compilation(
     )
 
 
-class Compiler:
-    """Staged compiler; reusable across programs.
-
-    When ``tracer`` is a live :class:`repro.trace.Tracer`, each phase
-    records a span carrying its wall time and IR-size counters (plus the
-    ILP model/solve sub-spans under ``allocate``); those spans are the
-    compiler's only clock, so with the default null tracer nothing is
-    timed.  Its command-line front end is ``novac`` (:mod:`repro.cli`,
-    also the home of ``novac pump``).
-    """
-
-    def __init__(
-        self, options: CompileOptions | None = None, tracer: Tracer | None = None
-    ):
-        self.options = options or CompileOptions()
-        self.tracer = ensure(tracer)
-
-    def compile(self, source: str, filename: str = "<nova>") -> Compilation:
-        front = parse_front(source, filename, self.tracer)
-        return compile_from_front(front, self.options, self.tracer)
-
-
 def compile_nova(
     source: str,
     filename: str = "<nova>",
     options: CompileOptions | None = None,
     tracer: Tracer | None = None,
 ) -> Compilation:
-    """Compile Nova source text through the whole pipeline."""
-    return Compiler(options, tracer).compile(source, filename)
+    """Compile Nova source text through the whole pipeline.
+
+    When ``tracer`` is a live :class:`repro.trace.Tracer`, each phase
+    records a span carrying its wall time and IR-size counters (plus the
+    ILP model/solve sub-spans under ``allocate``); those spans are the
+    compiler's only clock, so with the default null tracer nothing is
+    timed.  The compiler's command-line front end is ``novac``
+    (:mod:`repro.cli`, also the home of ``novac pump``).
+    """
+    front = parse_front(source, filename, tracer)
+    return compile_from_front(front, options, tracer)

@@ -181,7 +181,6 @@ def run_campaign(
     shrink_budget: int = 400,
     shrink_findings: bool = True,
     cache_dir: str | None = None,
-    pool=None,
 ) -> FuzzResult:
     """Fuzz ``count`` programs from ``seed`` upward; returns verdicts.
 
@@ -190,8 +189,7 @@ def run_campaign(
     directory under ``artifact_dir``.  ``cache_dir`` enables a shared
     content-addressed compile cache across workers and campaigns, which
     makes re-running a campaign (or shrinking its findings) mostly
-    cache hits.  ``pool`` reuses an existing executor across campaigns
-    (see :func:`repro.batch.scatter`) instead of forking per call.
+    cache hits.
     """
     gen_config = gen_config or GenConfig()
     tracer = ensure(tracer)
@@ -204,7 +202,6 @@ def run_campaign(
                 for s in range(seed, seed + count)
             ],
             jobs,
-            pool=pool,
             solves=any(
                 c.options.run_allocator for c in default_configs(config_names)
             ),

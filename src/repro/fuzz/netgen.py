@@ -39,9 +39,9 @@ survivors) interleaved with the line shrinker over the program, and
 persisted as a ``(program, trace, topology)`` witness artifact.
 
 ``novac fuzz --net`` runs campaigns of these scenarios over the
-:mod:`repro.batch` pool; the campaign also replays the three
-config-validation regressions (arrival typo, non-positive/oversize
-rings, chip-seed aliasing) as live probes before fuzzing.  With
+:mod:`repro.batch` pool; the campaign also replays four
+config-validation regressions (arrival typo, non-positive ring
+capacities, ring layout underflow) as live probes before fuzzing.  With
 ``--corpus-dir`` the campaign is coverage-guided: clean runs whose
 :func:`~repro.ixp.net.coverage_signature` reaches an uncovered counter
 bucket are persisted by :mod:`repro.fuzz.corpus`, and a
@@ -73,7 +73,6 @@ from repro.ixp.net import (
     StreamPacket,
     StreamResult,
     TraceEvent,
-    chip_seed,
     capture_trace,
     config_from_dict,
     config_to_dict,
@@ -559,12 +558,12 @@ def write_net_artifact(
 
 
 def validation_probes() -> list[str]:
-    """Replay the three config-validation regressions as live probes.
+    """Replay the four config-validation regressions as live probes.
 
     Campaigns run these first: each probe is the exact class of
     misconfiguration the validation bugfixes guard against (arrival
-    typo, non-positive capacity, ring layout underflow, chip-seed
-    aliasing) and must be rejected loudly.  Returns failures.
+    typo, non-positive capacity, ring layout underflow) and must be
+    rejected loudly.  Returns failures.
     """
     failures: list[str] = []
     scenario = gen_scenario(0)
@@ -584,10 +583,6 @@ def validation_probes() -> list[str]:
         except ValueError:
             continue
         failures.append(f"probe '{name}' was accepted instead of rejected")
-    if chip_seed(0, 1) == chip_seed(1, 0):
-        failures.append(
-            "chip seeds alias: chip_seed(0, 1) == chip_seed(1, 0)"
-        )
     return failures
 
 
@@ -731,7 +726,6 @@ def run_net_campaign(
     tracer=None,
     shrink_budget: int = 160,
     shrink_findings: bool = True,
-    pool=None,
     corpus_dir=None,
     mutate_ratio: float = 0.5,
 ) -> NetFuzzResult:
@@ -741,10 +735,8 @@ def run_net_campaign(
     over the batch pool (each worker re-derives its scenario from the
     seed), violating seeds are re-run and two-axis-shrunk in the
     driver process, and every finding becomes a witness directory
-    under ``artifact_dir``.  The three validation-regression probes
+    under ``artifact_dir``.  The four validation-regression probes
     run first and are reported alongside scenario verdicts.
-    ``pool`` reuses an existing executor across campaigns (see
-    :func:`repro.batch.scatter`).
 
     With ``corpus_dir``, the campaign goes coverage-guided: each slot
     is a corpus mutant with probability ``mutate_ratio`` (when the
@@ -796,7 +788,6 @@ def run_net_campaign(
             _net_unit,
             [(task, gen_config, tracer.enabled) for task in tasks],
             jobs,
-            pool=pool,
         )
         units = []
         for unit, spans in outcomes:

@@ -36,9 +36,8 @@ stage across the matrix instead of calling ``compile_nova`` per config:
 - solver-engine configs with identical model options share the
   :class:`~repro.alloc.ilpmodel.AllocModel` the allocator builds first
   (the spill-free model on the default path, so ``alloc-highs``,
-  ``alloc-bnb`` and ``alloc-baseline`` build it once) and, via the
-  memoized :func:`repro.ilp.solve.standard_form`, one sparse-matrix
-  conversion;
+  ``alloc-bnb`` and ``alloc-baseline`` build it once), and each solve
+  converts it to sparse standard form once;
 - an optional :class:`repro.cache.CompileCache` short-circuits repeat
   compiles entirely (shrinking re-checks the same base program many
   times).  Cached artifacts are slim — ``alloc.model`` is dropped — so

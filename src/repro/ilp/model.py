@@ -105,10 +105,6 @@ class Model:
         self.rhs = array("d")
         self.notes: list[str] = []
         self.objective: dict[int, float] = {}
-        #: bumped by every mutating call; keys the memo of
-        #: :func:`repro.ilp.solve.standard_form`, so one model solved by
-        #: several engines converts to matrices once.
-        self.mutations = 0
 
     # -- variables ------------------------------------------------------------
 
@@ -123,7 +119,6 @@ class Model:
     def _new_var(self, family: str, key: tuple) -> int:
         var = self.num_vars
         self.num_vars += 1
-        self.mutations += 1
         return var
 
     def name_of(self, var: int) -> str:
@@ -154,7 +149,6 @@ class Model:
         self.senses.append(code)
         self.rhs.append(rhs)
         self.notes.append(note)
-        self.mutations += 1
 
     def add_sum_eq(self, vars_: list[int], rhs: float, note: str = "") -> None:
         self.add({v: 1.0 for v in vars_}, "==", rhs, note)
@@ -164,7 +158,6 @@ class Model:
     def minimize(self, coeffs: dict[int, float]) -> None:
         for var, coef in coeffs.items():
             self.objective[var] = self.objective.get(var, 0.0) + coef
-        self.mutations += 1
 
     @property
     def objective_terms(self) -> int:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
 
 import numpy as np
 from scipy import optimize, sparse
@@ -58,10 +57,6 @@ from repro.trace import ensure
 #: How far an LP value may sit from 0 or 1 and still count as integral.
 INTEGRAL_TOL = 1e-6
 
-#: The :func:`standard_form` memo: model → (the key it was built at,
-#: the form).  Weak, so a model's matrices are freed with the model.
-_FORMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 def standard_form(model: Model) -> tuple:
     """Return (c, A, lb_row, ub_row) with one row per constraint.
@@ -71,16 +66,7 @@ def standard_form(model: Model) -> tuple:
     arrays are the COO triplets, rows in insertion order and columns in
     each row's own order, so scipy's COO→CSR conversion treats explicit
     zeros and duplicates exactly as for per-row input.
-
-    Memoized against the model's mutation counter (and objective
-    identity, for code that rebinds ``objective`` wholesale): the fuzz
-    oracle solves one model under several engines.  Callers must treat
-    the returned arrays as read-only.
     """
-    key = (model.mutations, id(model.objective))
-    cached = _FORMS.get(model)
-    if cached is not None and cached[0] == key:
-        return cached[1]
     ends = np.array(model.ends, dtype=np.int64)
     rows = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
     matrix = sparse.csr_matrix(
@@ -96,9 +82,7 @@ def standard_form(model: Model) -> tuple:
     c[np.fromiter(model.objective, np.intp, terms)] = np.fromiter(
         model.objective.values(), np.float64, terms
     )
-    result = (c, matrix, lb, ub)
-    _FORMS[model] = (key, result)
-    return result
+    return c, matrix, lb, ub
 
 
 def solve_root_relaxation(model: Model) -> tuple[float, float, np.ndarray]:
@@ -165,12 +149,13 @@ def solve_model(
     if model.num_vars == 0:
         return Solution("optimal", 0.0, np.zeros(0), 0.0, 0.0)
     with tracer.span("solve", engine=options.engine) as sp:
-        store, digest, solution = _reuse(model, options, tracer)
+        form = standard_form(model)
+        store, digest, solution = _reuse(form, options, tracer)
         if solution is None:
             if options.engine == "bnb":
-                solution = _solve_bnb(model, options)
+                solution = _solve_bnb(form, options)
             else:
-                solution = _solve_highs(model, options)
+                solution = _solve_highs(form, options)
             if store is not None and solution.status == "optimal":
                 store.save_optimum(digest, solution)
         if sp:
@@ -188,8 +173,9 @@ def solve_model(
     return solution
 
 
-def _reuse(model: Model, options: SolveOptions, tracer):
-    """Look up a proven optimum of this identical model.
+def _reuse(form: tuple, options: SolveOptions, tracer):
+    """Look up a proven optimum of the model whose standard form is
+    ``form``.
 
     Returns ``(store, digest, reused)``: the store, the model's
     :func:`~repro.ilp.hints.solve_digest`, and the stored optimum as a
@@ -201,7 +187,6 @@ def _reuse(model: Model, options: SolveOptions, tracer):
         return None, None, None
     store = HintStore(options.hint_dir)
     with tracer.span("portfolio.warm_start") as sp:
-        form = standard_form(model)
         digest = solve_digest(form, options.engine, options.gap)
         entry = store.load_optimum(digest)
         reused = reused_optimum(form, entry) if entry is not None else None
@@ -218,10 +203,11 @@ def _reuse(model: Model, options: SolveOptions, tracer):
 _MILP_STATUS = {2: "infeasible", 3: "unbounded", 4: "failed"}
 
 
-def _solve_highs(model: Model, options: SolveOptions) -> Solution:
+def _solve_highs(form: tuple, options: SolveOptions) -> Solution:
     """HiGHS branch & cut via :func:`scipy.optimize.milp`, after the LP
     relaxation when :attr:`SolveOptions.root_relaxation` asks for it."""
-    c, matrix, lb, ub = standard_form(model)
+    c, matrix, lb, ub = form
+    num_vars = len(c)
     root_seconds = 0.0
     time_limit = options.time_limit
     if options.root_relaxation:
@@ -241,7 +227,7 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
             time_limit = max(0.0, time_limit - root_seconds)
     start = time.perf_counter()
     constraints = []
-    if model.num_constraints:
+    if matrix.shape[0]:
         constraints.append(optimize.LinearConstraint(matrix, lb, ub))
     milp_options = {"mip_rel_gap": options.gap}
     if time_limit is not None:
@@ -249,7 +235,7 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
     res = optimize.milp(
         c,
         constraints=constraints,
-        integrality=np.ones(model.num_vars),
+        integrality=np.ones(num_vars),
         bounds=optimize.Bounds(0, 1),
         options=milp_options,
     )
@@ -275,7 +261,7 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
         return Solution(
             "timeout",
             math.inf,
-            np.zeros(model.num_vars),
+            np.zeros(num_vars),
             root_seconds,
             seconds,
             nodes,
@@ -286,7 +272,7 @@ def _solve_highs(model: Model, options: SolveOptions) -> Solution:
     return Solution(
         status,
         math.inf,
-        np.zeros(model.num_vars),
+        np.zeros(num_vars),
         root_seconds,
         seconds,
         nodes,
@@ -325,7 +311,7 @@ def _relative_gap(incumbent: float, bound: float) -> float:
     return (incumbent - bound) / max(1.0, abs(incumbent))
 
 
-def _solve_bnb(model: Model, options: SolveOptions) -> Solution:
+def _solve_bnb(form: tuple, options: SolveOptions) -> Solution:
     """Depth-first branch-and-bound with best-bound pruning.
 
     LP relaxations are solved by HiGHS ``linprog`` with variable fixings
@@ -337,10 +323,10 @@ def _solve_bnb(model: Model, options: SolveOptions) -> Solution:
     incumbent is within ``options.gap`` of it (relative MIP gap), exactly
     like CPLEX's ``mipgap`` termination.
     """
-    c, matrix, lb, ub = standard_form(model)
+    c, matrix, lb, ub = form
     a_ub, b_ub = _ub_matrix(matrix, lb, ub)
     a_eq, b_eq = _eq_matrix(matrix, lb, ub)
-    n = model.num_vars
+    n = len(c)
     start = time.perf_counter()
     root_seconds = [0.0]
 

@@ -51,11 +51,6 @@ RX ring, paying the ring's scratch-port costs; an empty RX or full TX
 re-polls every ``poll`` cycles.  This is the receive/transmit
 scheduler glue the paper says ships with every application; it is the
 only code that touches the rings (no instruction does).
-
-Whole-chip scale-out: :func:`run_sharded` runs N independent chips
-(each a full 6x4 :class:`NetRuntime`) over the :mod:`repro.batch`
-process pool with per-chip seeds, aggregating the per-chip
-:class:`StreamResult`\\ s into one deployment-level report.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ from typing import Callable
 from repro.errors import SimulatorError
 from repro.ixp.machine import CLOCK_MHZ, SIM_MODES, Machine, hash48
 from repro.ixp.memory import MemorySystem, ScratchRing
-from repro.trace import Tracer, ensure, log2_bound, nearest_rank
+from repro.trace import ensure, log2_bound, nearest_rank
 
 #: event kinds on the global heap (tie-broken by sequence number).
 _EV_ARRIVE, _EV_WORKER, _EV_SINK, _EV_PUSH = 0, 1, 2, 3
@@ -1241,175 +1236,6 @@ class NetRuntime:
 def run_stream(app: StreamApp, config: NetConfig, tracer=None) -> StreamResult:
     """Convenience wrapper: build the runtime and run it."""
     return NetRuntime(app, config, tracer).run()
-
-
-# --------------------------------------------------------------------------
-# Whole-chip scale-out: shard N chips over the batch process pool
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedResult:
-    """Aggregate view of N independent chips run as one deployment.
-
-    Each chip is a full :class:`NetRuntime` (its own memory system,
-    rings and engines) with a distinct seed; chips run in parallel in a
-    real deployment, so the aggregate throughput is the *sum* of the
-    per-chip Mb/s and the makespan is the *slowest* chip's cycles.
-    """
-
-    app: str
-    chips: int
-    results: list[StreamResult]
-
-    @property
-    def generated(self) -> int:
-        return sum(r.generated for r in self.results)
-
-    @property
-    def completed(self) -> int:
-        return sum(r.completed for r in self.results)
-
-    @property
-    def dropped(self) -> int:
-        return sum(r.dropped for r in self.results)
-
-    @property
-    def inflight(self) -> int:
-        return sum(r.inflight for r in self.results)
-
-    @property
-    def mismatches(self) -> list[dict]:
-        return [m for r in self.results for m in r.mismatches]
-
-    @property
-    def cycles(self) -> int:
-        return max((r.cycles for r in self.results), default=0)
-
-    @property
-    def latencies(self) -> list[int]:
-        return [latency for r in self.results for latency in r.latencies]
-
-    @property
-    def mbps(self) -> float:
-        return sum(r.mbps for r in self.results)
-
-    def percentile(self, p: float) -> int:
-        return nearest_rank(self.latencies, p)
-
-    def summary(self) -> dict:
-        return {
-            "app": self.app,
-            "chips": self.chips,
-            "generated": self.generated,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "inflight": self.inflight,
-            "mismatches": len(self.mismatches),
-            "cycles": self.cycles,
-            "mbps": round(self.mbps, 3),
-            "latency_p50": self.percentile(50),
-            "latency_p95": self.percentile(95),
-        }
-
-
-def chip_seed(base: int, chip: int) -> int:
-    """Decorrelated per-chip stream seed.
-
-    The old ``base + chip`` aliased overlapping deployments — chip 1 of
-    a seed-0 run replayed exactly chip 0 of a seed-1 run.  Mixing both
-    coordinates through :func:`~repro.ixp.machine.hash48` gives every
-    ``(base, chip)`` pair its own stream.
-    """
-    return hash48((base * 0x9E3779B1 + chip) & 0xFFFFFFFF)
-
-
-def _chip_worker(
-    chip: int,
-    app_name: str,
-    config: NetConfig,
-    sizes: tuple[int, ...] | None,
-    virtual: bool,
-    cache_dir: str | None,
-    trace: bool,
-    keep_packets: bool,
-) -> tuple[StreamResult, list]:
-    """Run one chip; module-level so the process pool can pickle it.
-
-    Compiles the app in-worker (through the content-addressed cache
-    when ``cache_dir`` is given — warm it in the parent first and every
-    worker gets a hit) and streams with a per-chip seed, so chips see
-    distinct traffic.
-    """
-    from dataclasses import replace
-
-    tracer = Tracer() if trace else None
-    comp = compile_app(app_name, virtual, cache_dir, tracer)
-    chip_config = replace(config, seed=chip_seed(config.seed, chip))
-    result = run_stream(stream_app(app_name, comp, sizes), chip_config, tracer)
-    if not keep_packets:
-        result.packets = []
-    return result, (list(tracer.spans) if tracer else [])
-
-
-def run_sharded(
-    app_name: str,
-    config: NetConfig,
-    chips: int,
-    sizes: tuple[int, ...] | None = None,
-    virtual: bool = True,
-    cache_dir: str | None = None,
-    jobs: int = 1,
-    tracer=None,
-    keep_packets: bool = False,
-    pool=None,
-) -> ShardedResult:
-    """Simulate ``chips`` independent chips and aggregate their results.
-
-    Fans the chips out over :func:`repro.batch.scatter` (``jobs == 1``
-    stays in-process; more and each chip lands in a pool worker that
-    compiles the app itself).  Chip ``i`` streams with seed
-    :func:`chip_seed(config.seed, i) <chip_seed>`, so a multi-chip
-    deployment covers ``chips`` times the flow population of a single
-    run and overlapping base seeds never replay each other's chips.
-    """
-    if chips <= 0:
-        raise ValueError("need at least one chip")
-    from repro.batch import scatter
-
-    tracer = ensure(tracer)
-    with tracer.span(
-        "net.sharded", app=app_name, chips=chips, jobs=jobs
-    ) as sp:
-        outcomes = scatter(
-            _chip_worker,
-            [
-                (
-                    chip,
-                    app_name,
-                    config,
-                    sizes,
-                    virtual,
-                    cache_dir,
-                    tracer.enabled,
-                    keep_packets,
-                )
-                for chip in range(chips)
-            ],
-            jobs,
-            pool=pool,
-            solves=not virtual,
-        )
-        results = []
-        for result, spans in outcomes:
-            results.append(result)
-            tracer.adopt(spans, parent="net.sharded")
-        sharded = ShardedResult(app=app_name, chips=chips, results=results)
-        if sp:
-            summary = sharded.summary()
-            summary.pop("app", None)
-            sp.add(**summary)
-    return sharded
 
 
 def stream_trace_lines(result: StreamResult, memory: MemorySystem | None = None) -> list[str]:

@@ -7,8 +7,8 @@ hot in-memory LRU of rendered responses, and the
 :class:`repro.ilp.hints.HintStore` of proven allocation-ILP optima that
 answers a cache miss whose ILP it has already solved.  Importing this
 module loads neither numpy nor scipy; :meth:`CompileServer.run` loads
-them before it accepts work, so the workers, forked from the daemon,
-start with the solver stack imported.
+them and then forks the workers before it accepts work, so the workers
+start with the solver stack imported and a first miss pays no fork.
 
 The daemon is a stdlib-``asyncio`` socket server speaking the
 newline-JSON protocol of :mod:`repro.proto` over a Unix socket (or TCP
@@ -602,11 +602,11 @@ class CompileServer:
     async def run(self) -> None:
         """Serve until a ``shutdown`` request; then tear everything down."""
         self._stop = asyncio.Event()
-        # Load the solver stack and create the pool before accepting
-        # work: the workers fork from this process on the first submit,
-        # so a first miss pays a compile, not jobs × import.
+        # Load the solver stack, then fork the workers before accepting
+        # work: with the fork context the first submit starts every
+        # worker, so a first miss pays a compile, not jobs × fork + import.
         load_solver_stack()
-        self.pool
+        await asyncio.wrap_future(self.pool.submit(_worker_pid))
         if self.config.socket:
             path = Path(self.config.socket)
             if path.exists():

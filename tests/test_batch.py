@@ -1,11 +1,8 @@
 """Batch compilation (`repro.batch`): fan-out, error records, tracing."""
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
-from repro.batch import BatchError, compile_many, scatter
+from repro.batch import BatchError, compile_many
 from repro.compiler import CompileOptions
 from repro.trace import Tracer
 
@@ -104,41 +101,6 @@ def test_same_source_text_hits_across_names(tmp_path):
         cache_dir=tmp_path / "cache",
     )
     assert [u.cache for u in result.units] == ["miss", "hit"]
-
-
-def _worker_pid(tag):
-    # Busy long enough that two concurrent tasks land on two workers.
-    import time
-
-    time.sleep(0.15)
-    return (tag, os.getpid())
-
-
-def test_scatter_reuses_an_existing_pool():
-    # pool= submits to the caller's executor instead of forking a fresh
-    # one per call: the same worker processes answer both rounds.
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        first = scatter(_worker_pid, [("a",), ("b",)], pool=pool)
-        second = scatter(_worker_pid, [("c",), ("d",)], pool=pool)
-        assert [tag for tag, _ in first] == ["a", "b"]
-        assert {pid for _, pid in first} == {pid for _, pid in second}
-        assert os.getpid() not in {pid for _, pid in first}
-    # And the pool is left running between calls (shut down by us, not
-    # by scatter): a third call after exit would raise, two inside did not.
-
-
-def test_compile_many_accepts_a_shared_pool(tmp_path):
-    sources = [("good.nova", GOOD), ("good2.nova", GOOD2)]
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        cold = compile_many(
-            sources, cache_dir=tmp_path / "cache", pool=pool
-        )
-        warm = compile_many(
-            sources, cache_dir=tmp_path / "cache", pool=pool
-        )
-    assert all(u.ok for u in cold.units) and all(u.ok for u in warm.units)
-    assert cold.cache_misses == 2 and warm.cache_hits == 2
-    assert cold.jobs == 2  # reported from the pool, not the default
 
 
 def test_keep_artifacts_false_drops_compilations():

@@ -310,15 +310,6 @@ def test_pump_one_chip(capsys):
     assert "    <= " in out
 
 
-def test_pump_sharded(capsys):
-    assert main(PUMP + ["--packets", "8", "--chips", "2", "--jobs", "1"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("pump nat (virtual, compiled, 2 chips x 6x4)\n")
-    for line in ("  chips          2", "  generated      16",
-                 "  completed      16", "  mismatches     0"):
-        assert line + "\n" in out
-
-
 def test_pump_interpreter_tier(capsys):
     assert main(PUMP + ["--packets", "8", "--sim-mode", "interp"]) == 0
     out = capsys.readouterr().out

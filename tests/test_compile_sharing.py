@@ -25,9 +25,7 @@ from repro.compiler import (
 )
 from repro.fuzz.gen import GenConfig, generate
 from repro.fuzz.oracle import check_generated, default_configs
-from repro.ilp.model import LinExpr, Model
 from repro.ilp.options import SolveOptions
-from repro.ilp.solve import standard_form
 
 SOURCE = """
 fun main (x, y) {
@@ -116,33 +114,6 @@ class TestModelSharing:
         configs = default_configs(["alloc-highs", "alloc-bnb", "alloc-oneshot"])
         assert check_generated(program, configs=configs).ok
         assert built == [False, True]
-
-    def test_standard_form_memoized_until_mutation(self):
-        model = Model("memo")
-        x = model.family("x")
-        a, b = x[("a",)], x[("b",)]
-        model.add(LinExpr({a: 1, b: 1}), "<=", 1)
-        model.minimize({a: 1.0, b: 2.0})
-        first = standard_form(model)
-        assert standard_form(model) is first
-        model.add(LinExpr({a: 1}), ">=", 0)
-        second = standard_form(model)
-        assert second is not first
-        assert second[1].shape[0] == 2  # both constraints present
-
-    def test_standard_form_invalidated_by_objective_rebind(self):
-        # Code may rebind ``model.objective`` wholesale.
-        model = Model("rebind")
-        x = model.family("x")
-        a = x[("a",)]
-        model.add(LinExpr({a: 1}), "<=", 1)
-        model.minimize({a: 3.0})
-        first = standard_form(model)
-        model.objective = {}
-        model.minimize({a: 7.0})
-        second = standard_form(model)
-        assert second is not first
-        assert second[0][a] == 7.0
 
 
 class TestOracleCaching:

@@ -7,11 +7,14 @@ import pytest
 
 from repro.alloc.allocator import AllocOptions, allocate
 from repro.compiler import CompileOptions, compile_nova
+from repro.ilp import solve as solve_mod
 from repro.ilp.hints import OPTIMUM_FORMAT, HintStore, solve_digest
 from repro.ilp.model import Model
 from repro.ilp.options import ENGINES, SolveOptions
 from repro.ilp.solve import solve_model, standard_form
 from repro.trace import Tracer
+
+from tests.helpers import record_calls
 
 
 def assignment_model(n=4, shift=0):
@@ -86,6 +89,17 @@ class TestHints:
             assert solution.status == "optimal"
             assert solution.objective == reference.objective
             assert (solution.values == reference.values).all()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_cold_solve_converts_the_model_once(
+        self, engine, tmp_path, monkeypatch
+    ):
+        # The store lookup, the engine and the record of the optimum all
+        # read one standard form.
+        calls = record_calls(monkeypatch, solve_mod, "standard_form")
+        options = hinted(tmp_path, engine)
+        assert solve_model(assignment_model(), options).status == "optimal"
+        assert calls == ["standard_form"]
 
     def test_no_lookup_without_both_hint_fields(self):
         # Without hint_dir a solve is the plain cold solve: no lookup.

@@ -16,12 +16,9 @@ import dataclasses
 import pytest
 
 from repro.fuzz.netmeta import check_result, check_steering
-from repro.ixp.machine import hash48
 from repro.ixp.net import (
     NetConfig,
     NetRuntime,
-    chip_seed,
-    run_sharded,
     run_stream,
     stream_app,
     nearest_rank,
@@ -216,52 +213,3 @@ def test_histogram_and_span_buckets_agree(nat_stream):
     }
     assert buckets == hist  # one bucketing function, one answer
 
-
-# -- multi-chip sharding ---------------------------------------------------
-
-
-def test_run_sharded_aggregates_chips():
-    config = NetConfig(engines=2, threads=2, packets=10, seed=20,
-                       arrival="backlog", rx_capacity=16)
-    sharded = run_sharded("nat", config, chips=3, virtual=True, jobs=1)
-    assert sharded.chips == 3 and len(sharded.results) == 3
-    assert sharded.generated == 30
-    assert sharded.completed == 30 and not sharded.mismatches
-    # chips run in parallel: aggregate rate sums, makespan is the max
-    assert sharded.mbps == pytest.approx(sum(r.mbps for r in sharded.results))
-    assert sharded.cycles == max(r.cycles for r in sharded.results)
-    # per-chip seeds differ, so chips see different traffic
-    assert sharded.results[0].latencies != sharded.results[1].latencies
-    assert sharded.percentile(50) in sharded.latencies
-    summary = sharded.summary()
-    assert summary["chips"] == 3 and summary["generated"] == 30
-
-
-def test_run_sharded_rejects_zero_chips():
-    with pytest.raises(ValueError, match="at least one chip"):
-        run_sharded("nat", NetConfig(), chips=0)
-
-
-def test_chip_seeds_do_not_alias_across_deployments():
-    # The old scheme seeded chip i with ``config.seed + i``, so chip 1
-    # of a seed-0 deployment replayed chip 0 of a seed-1 deployment
-    # packet for packet.  chip_seed mixes (seed, chip) through hash48.
-    assert chip_seed(0, 1) != chip_seed(1, 0)
-    assert chip_seed(0, 0) != chip_seed(0, 1)
-    pairs = {chip_seed(seed, chip) for seed in range(8) for chip in range(6)}
-    assert len(pairs) == 48  # no collisions across a whole sweep
-    assert chip_seed(3, 2) == hash48((3 * 0x9E3779B1 + 2) & 0xFFFFFFFF)
-
-
-def test_sharded_chips_see_distinct_traffic_across_base_seeds():
-    config = NetConfig(engines=2, threads=2, packets=10, seed=0,
-                       arrival="backlog", rx_capacity=16)
-    deploy0 = run_sharded("nat", config, chips=2, virtual=True, jobs=1)
-    deploy1 = run_sharded(
-        "nat", dataclasses.replace(config, seed=1), chips=2, virtual=True,
-        jobs=1,
-    )
-    # the aliasing bug made these two latency series identical
-    assert (
-        deploy0.results[1].latencies != deploy1.results[0].latencies
-    )

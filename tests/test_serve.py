@@ -40,11 +40,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
-def server(tmp_path):
+def server(tmp_path, request):
     config = ServeConfig(
         socket=str(tmp_path / "d.sock"),
         cache_dir=str(tmp_path / "cache"),
-        jobs=1,
+        jobs=getattr(request, "param", 1),
         hot_entries=4,
     )
     daemon = CompileServer(config)
@@ -309,6 +309,15 @@ class TestOperations:
         assert stats["clients"]["hits"] == 1
         assert stats["clients"]["p50_ms"] > 0
         assert isinstance(stats["workers"], list)
+
+    @pytest.mark.parametrize("server", [2], indirect=True)
+    def test_fresh_daemon_has_forked_its_workers(self, server):
+        # The workers fork before the daemon listens, so the first miss
+        # pays a compile, not the forks.
+        with ServeClient.connect(server.socket) as client:
+            stats = client.stats()
+        assert stats["jobs"] == 2
+        assert len(stats["workers"]) == 2
 
     def test_cold_compile_looks_the_disk_up_once(self, server):
         with ServeClient.connect(server.socket) as client:
